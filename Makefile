@@ -1,5 +1,5 @@
 # Tier-1: everything must build and every test must pass.
-.PHONY: all test vet vet-xpdl bveq-smoke bveq-nightly bench bench-smoke chaos cover fuzz-smoke fuzz-designs fuzz-corpus race soak serve-smoke serve-soak torture-smoke torture clean
+.PHONY: all test vet vet-xpdl bveq-smoke bveq-nightly bench bench-smoke perfbench-test chaos cover fuzz-smoke fuzz-designs fuzz-corpus race soak serve-smoke serve-soak torture-smoke torture clean
 
 all: vet vet-xpdl bveq-smoke test
 
@@ -60,17 +60,19 @@ chaos:
 	go test -run TestChaosDifferential -v ./internal/sim/
 
 # fuzz-smoke runs each native fuzz target briefly — enough to catch
-# newly introduced panics in the assembler and the PDL parser without
-# turning CI into a fuzzing farm.
+# newly introduced panics in the assembler and the PDL parser, and
+# vm-vs-interp disagreements on generated expressions, without turning
+# CI into a fuzzing farm.
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzAssemble -fuzztime=10s ./internal/asm/
 	go test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/pdl/parser/
 	go test -run='^$$' -fuzz=FuzzCheck -fuzztime=10s ./internal/check/
 	go test -run='^$$' -fuzz=FuzzRTLExpr -fuzztime=10s ./internal/rtl/
+	go test -run='^$$' -fuzz=FuzzEngineExpr -fuzztime=10s ./internal/sim/
 
 # fuzz-designs is the design-space fuzzing smoke: a fixed-seed xpdlfuzz
 # campaign over 500 generated (design, program) pairs through the full
-# gauntlet — parse, check, translate, three engines vs the golden model,
+# gauntlet — parse, check, translate, both engines vs the golden model,
 # with chaos / save-restore / cosim / checker mutants sampled in. Pure
 # function of its flags, so CI failures reproduce exactly; exit 8 means
 # a counterexample (bundle written to testdata/designfuzz/).
@@ -196,6 +198,13 @@ bench: vet
 bench-smoke:
 	go test -run='^$$' -bench=. -benchtime=1x -benchmem ./... \
 	| go run ./cmd/benchjson > /dev/null
+
+# perfbench-test vets and unit-tests the repo benchmark harness, which
+# is its own Go module (perfbench/) built against this tree — so a sim
+# or daemon API change that breaks the benchmark fails here, not in a
+# benchmark run.
+perfbench-test:
+	cd perfbench && go vet . && go test .
 
 clean:
 	rm -f BENCH_pr6.json cover.out

@@ -144,8 +144,8 @@ func BenchmarkOIATEquivalence(b *testing.B) {
 }
 
 // BenchmarkSimulatorThroughput measures raw simulator speed in pipeline
-// cycles per second on the aes kernel, for both the compile-once stage
-// executor (default) and the AST-interpreter oracle (Config.Interp).
+// cycles per second on the aes kernel, for both the bytecode VM
+// (default) and the AST-interpreter oracle.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	w, _ := workloads.ByName("aes")
 	prog, _ := w.Assemble()
@@ -166,8 +166,8 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		}
 		b.ReportMetric(float64(totalCycles)/b.Elapsed().Seconds(), "cycles/s")
 	}
-	b.Run("compiled", func(b *testing.B) { run(b, sim.Config{}) })
-	b.Run("interp", func(b *testing.B) { run(b, sim.Config{Interp: true}) })
+	b.Run("vm", func(b *testing.B) { run(b, sim.Config{}) })
+	b.Run("interp", func(b *testing.B) { run(b, sim.Config{Engine: "interp"}) })
 }
 
 // --- Ablations ----------------------------------------------------------------

@@ -8,8 +8,9 @@
 //
 // -batch runs the workload sweep as one lockstep batch (every kernel a
 // lane of the same design) and reports aggregate machine-cycles/s for
-// the sequential closure baseline versus the shared-image bytecode VM.
-// -exec selects the executor for the CPI matrix (interp|closure|vm).
+// the vm engine stepping each lane sequentially versus the same lanes
+// in one lockstep vm.Batch over the shared bytecode image.
+// -exec selects the executor for the CPI matrix (interp|vm).
 package main
 
 import (
@@ -30,7 +31,7 @@ func main() {
 	fmax := flag.Bool("fmax", false, "maximum frequency model")
 	compile := flag.Bool("compile", false, "compilation time")
 	taxonomy := flag.Bool("taxonomy", false, "Table 1 category demonstrations")
-	batch := flag.Bool("batch", false, "lockstep batch throughput (closure sequential vs vm batch)")
+	batch := flag.Bool("batch", false, "lockstep batch throughput (vm sequential vs vm batch)")
 	rounds := flag.Int("rounds", 5, "averaging rounds for compile-time measurement")
 	execFlag := flag.String("exec", "", "executor for the CPI matrix: "+strings.Join(sim.Engines(), "|"))
 	flag.Parse()

@@ -124,7 +124,7 @@ func submit(c *xpdld.Client, args []string) {
 	source := fs.String("source", "", "XPDL source `file` (compile jobs)")
 	workload := fs.String("workload", "", "built-in kernel name (fib, crc, ...)")
 	asmFile := fs.String("asm", "", "RV32IM assembly `file`")
-	engine := fs.String("engine", "", "executor: interp|closure|vm")
+	engine := fs.String("engine", "", "executor: interp|vm (default vm)")
 	seed := fs.Uint64("seed", 0, "fault-injection seed (chaos; optional for cosim)")
 	cycles := fs.Int("cycles", 0, "cycle budget (0 = default, clamped to the tenant quota)")
 	ckptEvery := fs.Int("checkpoint-every", 0, "checkpoint interval in cycles (0 = server default, <0 disables)")

@@ -4,7 +4,7 @@
 // extern units), pairs each with a random machine program biased toward
 // exception and interrupt collisions, and drives every pair through the
 // full verification gauntlet — parse, semantic check, translation, and
-// differential execution of all three engines against the sequential
+// differential execution of both engines against the sequential
 // golden model, with chaos timing faults, mid-run save/restore, RTL
 // cosimulation, and rule-breaking checker mutants sampled in on fixed
 // iteration residues.

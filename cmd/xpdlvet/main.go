@@ -59,7 +59,7 @@ func main() {
 	bveqLen := flag.Int("bveq-len", 3, "bveq: max program length in instructions")
 	bveqWidth := flag.Int("bveq-width", 2, "bveq: immediate-domain width of the ISA projection")
 	bveqWindow := flag.Int("bveq-window", 12, "bveq: interrupt-arrival window in cycles")
-	bveqExec := flag.String("bveq-exec", "vm", "bveq: primary execution engine (vm|closure|interp)")
+	bveqExec := flag.String("bveq-exec", "vm", "bveq: primary execution engine (vm|interp)")
 	bveqSpec := flag.String("bveq-spec", "", "bveq: gate a generated design from a DesignSpec JSON file (implies -bveq)")
 	bveqCorrupt := flag.String("bveq-corrupt", "", "bveq: apply a named seeded translation bug (gate self-test)")
 	flag.Parse()

@@ -94,7 +94,7 @@ type CPICell struct {
 
 // CPITable runs every workload on every variant (§4.2: processors that
 // implement exceptions must not have worse CPI when none occur), on the
-// default (closure) executor.
+// default (vm) executor.
 func CPITable(kernels []workloads.Workload) ([]CPICell, error) {
 	return CPITableEngine(kernels, "")
 }

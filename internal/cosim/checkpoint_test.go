@@ -61,7 +61,7 @@ func TestCosimResumeEquivalence(t *testing.T) {
 	}{
 		{"fatal/loop", Options{Variant: designs.Fatal, Program: nil}},
 		{"all/loop", Options{Variant: designs.All, Program: nil}},
-		{"all/loop-interp", Options{Variant: designs.All, Interp: true}},
+		{"all/loop-interp", Options{Variant: designs.All, Engine: "interp"}},
 		{"all/chaos", Options{Variant: designs.All, ChaosSeed: 0xC051}},
 		{"all/storm", Options{Variant: designs.All, ChaosSeed: 0xC052, Storm: true}},
 	}

@@ -53,8 +53,9 @@ type Options struct {
 	StormVol      string
 	// MaxCycles bounds the run (default 200000).
 	MaxCycles int
-	// Interp selects the simulator's AST-interpreter executor.
-	Interp bool
+	// Engine selects the simulator's executor (see sim.Config.Engine;
+	// empty selects the default).
+	Engine string
 	// ChaosSeed, when nonzero, plugs the deterministic fault injector
 	// into the simulator (timing faults only — the RTL replays the
 	// perturbed schedule through its strobe inputs).
@@ -251,7 +252,7 @@ func Run(opts Options) (*Result, error) {
 	}
 
 	// --- simulator side -------------------------------------------------
-	cfg := sim.Config{Interp: opts.Interp, Observer: &h.rec}
+	cfg := sim.Config{Engine: opts.Engine, Observer: &h.rec}
 	var inj *fault.Injector
 	if opts.ChaosSeed != 0 {
 		fc := fault.Default(opts.ChaosSeed)

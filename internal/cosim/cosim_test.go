@@ -264,15 +264,15 @@ func TestLockstepInterrupts(t *testing.T) {
 func TestLockstepInterp(t *testing.T) {
 	for _, v := range designs.Variants() {
 		t.Run(v.String()+"/loop", func(t *testing.T) {
-			run(t, Options{Variant: v, Program: mustAsm(t, progLoop), Interp: true})
+			run(t, Options{Variant: v, Program: mustAsm(t, progLoop), Engine: "interp"})
 		})
 	}
 	t.Run("all/ecall", func(t *testing.T) {
-		run(t, Options{Variant: designs.All, Program: mustAsm(t, progEcall), Interp: true})
+		run(t, Options{Variant: designs.All, Program: mustAsm(t, progEcall), Engine: "interp"})
 	})
 	t.Run("all/interrupt", func(t *testing.T) {
 		run(t, Options{
-			Variant: designs.All, Program: mustAsm(t, progInterrupt), Interp: true,
+			Variant: designs.All, Program: mustAsm(t, progInterrupt), Engine: "interp",
 			InterruptAt: 60, InterruptBit: riscv.MIPMTIP,
 		})
 	})
@@ -319,7 +319,7 @@ func TestLockstepChaos(t *testing.T) {
 	t.Run("all/storm+interp", func(t *testing.T) {
 		run(t, Options{
 			Variant: designs.All, Program: mustAsm(t, progInterrupt),
-			ChaosSeed: seeds[0], Storm: true, StormPct: 1, Interp: true,
+			ChaosSeed: seeds[0], Storm: true, StormPct: 1, Engine: "interp",
 		})
 	})
 }

@@ -13,10 +13,9 @@ import (
 	"xpdl/internal/val"
 )
 
-// Engines is the differential set: every generated design runs on all
-// three executors and they must agree event-for-event and cycle-for-
-// cycle.
-var Engines = []string{"interp", "closure", "vm"}
+// Engines is the differential set: every generated design runs on both
+// executors and they must agree event-for-event and cycle-for-cycle.
+var Engines = []string{"interp", "vm"}
 
 // Storm pacing for interrupt-capable designs: at most stormBudget
 // pulses, at least stormSpacing cycles apart, on cycles the chaos

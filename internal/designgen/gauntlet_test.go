@@ -29,7 +29,7 @@ func TestGauntletResumeAndCosim(t *testing.T) {
 	for seed := uint64(0); seed < 6; seed++ {
 		d := Generate(seed)
 		prog := GenProgram(d, seed)
-		opts := RunOpts{ChaosSeed: seed + 11, SaveRestore: true, Cosim: true, Engines: []string{"closure"}}
+		opts := RunOpts{ChaosSeed: seed + 11, SaveRestore: true, Cosim: true, Engines: []string{"vm"}}
 		if div := Gauntlet(d, prog, opts); div != nil {
 			t.Errorf("seed %d (%s): %v", seed, d.Name(), div)
 		}

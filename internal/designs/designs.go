@@ -18,13 +18,14 @@ type Processor struct {
 }
 
 // Build compiles a variant and constructs its simulator with the
-// default configuration (compiled stage executor, fresh externs).
+// default configuration (vm executor, fresh externs).
 func Build(v Variant) (*Processor, error) {
 	return BuildCfg(v, sim.Config{})
 }
 
 // BuildCfg compiles a variant and constructs its simulator with an
-// explicit configuration (e.g. Interp for the AST-interpreter oracle).
+// explicit configuration (e.g. Engine "interp" for the AST-interpreter
+// oracle).
 // cfg.Externs defaults to Externs() when unset.
 func BuildCfg(v Variant, cfg sim.Config) (*Processor, error) {
 	d, err := xpdl.Compile(Source(v))

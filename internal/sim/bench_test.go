@@ -107,8 +107,8 @@ const batchPeriod = 1024
 
 // buildPaced constructs a machine whose wake-predicting device starts
 // one instruction every period cycles, forever. Between bursts the
-// machine is fully drained, so the vm engine may fast-forward while
-// the closure and interp engines tick every cycle.
+// machine is fully drained, so Advance may fast-forward the quiet
+// stretches on either engine.
 func buildPaced(b *testing.B, engine string, period int) *Machine {
 	b.Helper()
 	m := build(b, pacedSrc, Config{Engine: engine, MaxTrace: 1})
@@ -143,48 +143,42 @@ func runPaced(b *testing.B, engine string) {
 	}
 }
 
-// BenchmarkSimThroughput reports cycles/sec for the three executors.
+// BenchmarkSimThroughput reports cycles/sec for the two executors.
 //
-// The headline series (compiled, interp, vm) runs a device-paced design
-// via Advance: work arrives in short bursts every pacedPeriod cycles
-// and the machine drains in between, so the vm engine's quiescent
-// fast-forward skips the quiet stretches in O(1) while the others tick
-// them one by one. Every engine simulates exactly b.N machine-cycles
-// with identical observables (fastforward_test.go pins this).
+// The headline series (interp, vm) runs a device-paced design via
+// Advance: work arrives in short bursts every pacedPeriod cycles and
+// the machine drains in between, so quiescent fast-forward skips the
+// quiet stretches in O(1). Every engine simulates exactly b.N
+// machine-cycles with identical observables (fastforward_test.go pins
+// this).
 //
 // The -hot series runs the saturated kernel — an instruction in every
 // stage every cycle, no quiet cycles to skip — and so isolates raw
-// dispatch cost; there the three engines are within ~2x of each other
+// dispatch cost; there the engines are within ~2x of each other
 // because per-cycle scheduling machinery, not expression evaluation,
-// dominates. Run with -benchmem: compiled and vm cycle loops must stay
-// at ~0 allocs/op in both shapes.
+// dominates. Run with -benchmem: the vm cycle loop must stay at ~0
+// allocs/op in both shapes.
 func BenchmarkSimThroughput(b *testing.B) {
-	b.Run("compiled", func(b *testing.B) { runPaced(b, "closure") })
 	b.Run("interp", func(b *testing.B) { runPaced(b, "interp") })
 	b.Run("vm", func(b *testing.B) { runPaced(b, "vm") })
-	b.Run("compiled-hot", func(b *testing.B) { runHot(b, "closure") })
 	b.Run("interp-hot", func(b *testing.B) { runHot(b, "interp") })
 	b.Run("vm-hot", func(b *testing.B) { runHot(b, "vm") })
 }
 
 // BenchmarkSimBatch measures aggregate cycles/s over N independent
 // device-paced machines of the same design: sequentially one-by-one
-// with the closure executor (the pre-batch baseline) versus vm.Batch
+// with the vm executor (the pre-batch baseline) versus vm.Batch
 // running the shared bytecode image over all lanes in lockstep
 // strides. Every lane advances exactly b.N machine-cycles either way;
 // the reported metric counts machine-cycles across all lanes.
 func BenchmarkSimBatch(b *testing.B) {
 	const lanes = 16
-	for _, mode := range []string{"closure-seq", "vm-batch"} {
+	for _, mode := range []string{"vm-seq", "vm-batch"} {
 		b.Run(fmt.Sprintf("%s-%d", mode, lanes), func(b *testing.B) {
 			ms := make([]*Machine, lanes)
 			steppers := make([]vm.Stepper, lanes)
-			engine := "closure"
-			if mode == "vm-batch" {
-				engine = "vm"
-			}
 			for i := range ms {
-				ms[i] = buildPaced(b, engine, batchPeriod)
+				ms[i] = buildPaced(b, "vm", batchPeriod)
 				steppers[i] = ms[i]
 			}
 			b.ReportAllocs()

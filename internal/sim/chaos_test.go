@@ -172,13 +172,11 @@ var chaosSeeds = []uint64{
 }
 
 // TestChaosDifferential runs the full variant x workload matrix: one
-// golden run per cell, then every chaos seed on both compiled
-// executors (closure and bytecode VM), asserting architectural
-// equivalence against the golden run and cycle-exact equivalence
-// between the two compiled executors (same seed => identical
-// perturbation => identical machine). A rotating subset of seeds
-// additionally runs on the interpreter and is compared cycle-exactly
-// against the closure chaos run.
+// unperturbed run per cell, then every chaos seed on both executors
+// (the bytecode VM and the interpreter oracle), asserting architectural
+// equivalence against the unperturbed run and cycle-exact equivalence
+// between the two executors (same seed => identical perturbation =>
+// identical machine).
 func TestChaosDifferential(t *testing.T) {
 	vs := designs.Variants()
 	ws := workloads.All()
@@ -188,36 +186,27 @@ func TestChaosDifferential(t *testing.T) {
 		ws = ws[:3]
 		seeds = seeds[:3]
 	}
-	cell := 0
 	for _, v := range vs {
 		for _, w := range ws {
-			cell++
-			rot := cell
 			t.Run(v.String()+"/"+w.Name, func(t *testing.T) {
 				t.Parallel()
-				gp, gn, _ := chaosRun(t, v, w, 0, "closure")
+				gp, gn, _ := chaosRun(t, v, w, 0, "vm")
 				golden := captureArch(gp)
-				for si, seed := range seeds {
-					cp, cn, stormed := chaosRun(t, v, w, seed, "closure")
-					if cn <= gn {
+				for _, seed := range seeds {
+					vp, vn, stormed := chaosRun(t, v, w, seed, "vm")
+					if vn <= gn {
 						// At the default rates a perturbed run must be
 						// strictly slower; equality means dead hooks.
-						t.Fatalf("seed %#x ran in %d cycles, golden %d: faults not injected", seed, cn, gn)
+						t.Fatalf("seed %#x ran in %d cycles, golden %d: faults not injected", seed, vn, gn)
 					}
 					skip := map[string]bool{}
 					if stormed {
 						skip["mip"] = true
 					}
-					compareArch(t, golden, captureArch(cp), skip)
-					vp, vn, _ := chaosRun(t, v, w, seed, "vm")
 					compareArch(t, golden, captureArch(vp), skip)
-					compareMachines(t, "vm", "closure", vp, cp, vn, cn)
-					// Cross-executor: every 4th (seed, cell) pair also
-					// runs interpreted and must match cycle-for-cycle.
-					if (si+rot)%4 == 0 {
-						ip, in, _ := chaosRun(t, v, w, seed, "interp")
-						compareMachines(t, "closure", "interp", cp, ip, cn, in)
-					}
+					ip, in, _ := chaosRun(t, v, w, seed, "interp")
+					compareArch(t, golden, captureArch(ip), skip)
+					compareMachines(t, "vm", "interp", vp, ip, vn, in)
 				}
 			})
 		}

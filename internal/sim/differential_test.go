@@ -1,12 +1,11 @@
-// Differential testing of the three stage executors: every run is
+// Differential testing of the two stage executors: every run is
 // performed once per engine on identical machines — the AST
-// interpreter (the executable specification), the compile-once
-// closure executor, and the bytecode VM — and the complete observable
-// state is compared pairwise against the interpreter: cycle count,
-// firing count, the full retirement trace (pipe, iid, arguments,
-// exceptional flag, exception arguments, retire cycle), architectural
-// registers, data memory, every declared volatile, and the in-flight
-// count. Any divergence is an executor bug by construction, since the
+// interpreter (the executable specification) and the bytecode VM —
+// and the complete observable state is compared against the
+// interpreter: cycle count, firing count, the full retirement trace
+// (pipe, iid, arguments, exceptional flag, exception arguments, retire
+// cycle), architectural registers, data memory, every declared
+// volatile, and the in-flight count. Any divergence is an executor bug by construction, since the
 // interpreter is the executable specification.
 package sim_test
 
@@ -22,7 +21,7 @@ import (
 )
 
 // engines lists every selectable executor, specification first.
-var engines = []string{"interp", "closure", "vm"}
+var engines = []string{"interp", "vm"}
 
 // buildEngine constructs a machine for a variant on one executor.
 func buildEngine(t *testing.T, v designs.Variant, engine string) *designs.Processor {
@@ -117,8 +116,8 @@ func compareMachines(t *testing.T, la, lb string, c, i *designs.Processor, cCycl
 	}
 }
 
-// differential runs src on all three executors of a variant and
-// compares each compiled executor against the interpreter oracle.
+// differential runs src on both executors of a variant and
+// compares the vm against the interpreter oracle.
 func differential(t *testing.T, v designs.Variant, src string, maxCycles int, hook func(*designs.Processor)) {
 	t.Helper()
 	ps := make(map[string]*designs.Processor, len(engines))
@@ -134,7 +133,7 @@ func differential(t *testing.T, v designs.Variant, src string, maxCycles int, ho
 }
 
 // TestDifferentialWorkloads runs every workload kernel on every
-// processor variant under all three executors. The kernels are branch-
+// processor variant under both executors. The kernels are branch-
 // and memory-heavy, so they exercise speculative fetch, mispredict
 // squash, renaming/bypass/basic lock traffic, and multi-stage
 // retirement.

@@ -12,7 +12,8 @@ import (
 // Lock operations run inside lock transactions; everything else is
 // buffered until the attempt succeeds. The machine owns a single firing
 // record (Machine.fr) that is reset per attempt, so the hot path never
-// allocates one.
+// allocates one. It also identifies the stage and instruction being
+// fired for panic attribution (see Machine.Step), on both engines.
 type firing struct {
 	m    *Machine
 	node *stageNode
@@ -28,16 +29,16 @@ type firing struct {
 	lef   bool
 	eargs []val.Value
 
-	dest      *stageNode // chosen continuation (fork overrides node.next)
-	destValid bool
-
 	funcEnv []map[string]V // interpreter-only: scoped in-language function envs
+}
 
-	// Compiled-executor function-call state: the current slot-indexed
-	// frame plus the return latch (see compile.go).
-	frame     []V
-	fret      V
-	freturned bool
+// outcome is what executing one stage's statements produced, on either
+// engine; fire applies it.
+type outcome struct {
+	stalled, died, wroteAny bool
+	exc                     bool // the fork stage took the exception chain
+	lef                     bool
+	eargs                   []val.Value
 }
 
 // effKind discriminates buffered machine-level effects. Effects are
@@ -136,11 +137,10 @@ func (m *Machine) applyEffects() {
 
 // fire attempts to execute node's instruction for this cycle. It reports
 // whether the pipeline made progress (the stage fired or the instruction
-// died).
+// died). The firing protocol — preconditions, write-back, effects,
+// destination choice — is the same for both engines; they differ only
+// in how a stage's statements execute (execInterp, execVM).
 func (m *Machine) fire(node *stageNode) bool {
-	if m.engine == engVM {
-		return m.fireVM(node)
-	}
 	in := node.cur
 	if in.waiting != nil {
 		return false // blocked on a sub-pipeline call
@@ -159,62 +159,21 @@ func (m *Machine) fire(node *stageNode) bool {
 		return false
 	}
 
+	m.fr.node, m.fr.in = node, in // panic attribution (see Machine.Step)
 	m.scratch.epoch++
-	f := &m.fr
-	f.node, f.in = node, in
-	f.stalled, f.died, f.wroteAny = false, false, false
-	f.lef, f.eargs = in.lef, in.eargs
-	f.dest, f.destValid = nil, false
-	f.frame, f.fret, f.freturned = nil, V{}, false
-	f.funcEnv = f.funcEnv[:0]
-	m.effBuf = m.effBuf[:0]
-	m.spawnArena = m.spawnArena[:0]
-	for _, i := range m.spawnDirty {
-		m.spawnCnt[i] = 0
-	}
-	m.spawnDirty = m.spawnDirty[:0]
-	m.frameTop = 0
-	m.extArgs = m.extArgs[:0]
-
-	for _, l := range m.memList {
-		l.Begin()
-	}
-	if m.cfg.Interp {
-		f.exec(node.stmts)
-		if node.fork != nil && !f.stalled && !f.died {
-			if f.lef {
-				f.exec(node.fork.excStage0)
-				f.dest, f.destValid = node.fork.excNext, true
-			} else {
-				f.exec(node.fork.commitStage0)
-				f.dest, f.destValid = node.fork.commitNext, true
-			}
-		}
+	var o outcome
+	if m.engine == engVM {
+		o = m.execVM(node, in)
 	} else {
-		f.execC(node.code)
-		if node.fork != nil && !f.stalled && !f.died {
-			if f.lef {
-				f.execC(node.fork.excCode)
-				f.dest, f.destValid = node.fork.excNext, true
-			} else {
-				f.execC(node.fork.commitCode)
-				f.dest, f.destValid = node.fork.commitNext, true
-			}
-		}
+		o = m.execInterp(node, in)
 	}
-	if f.stalled {
-		for _, l := range m.memList {
-			l.Rollback()
-		}
-		return f.died
-	}
-	for _, l := range m.memList {
-		l.Commit()
+	if o.stalled {
+		return false
 	}
 
 	// Apply buffered state: combinational then latched variable writes,
 	// exception flags, then machine-level effects in program order.
-	if f.wroteAny {
+	if o.wroteAny {
 		sc := &m.scratch
 		for slot := range in.vars {
 			if sc.localEpoch[slot] == sc.epoch {
@@ -225,12 +184,16 @@ func (m *Machine) fire(node *stageNode) bool {
 			}
 		}
 	}
-	in.lef = f.lef
-	in.eargs = f.eargs
-	m.applyEffects()
+	in.lef = o.lef
+	in.eargs = o.eargs
+	if m.engine == engVM {
+		m.applyVMEffects(in, &m.vmEnv)
+	} else {
+		m.applyEffects()
+	}
 	m.firings++
 
-	if f.died {
+	if o.died {
 		if node.cur == in {
 			node.cur = nil
 		}
@@ -244,8 +207,11 @@ func (m *Machine) fire(node *stageNode) bool {
 	}
 
 	dest := node.next
-	if f.destValid {
-		dest = f.dest
+	if node.fork != nil {
+		dest = node.fork.commitNext
+		if o.exc {
+			dest = node.fork.excNext
+		}
 	}
 	node.cur = nil
 	if dest == nil {
@@ -257,6 +223,45 @@ func (m *Machine) fire(node *stageNode) bool {
 	}
 	dest.cur = in
 	return true
+}
+
+// execInterp runs a stage on the AST interpreter inside one lock
+// transaction, buffering machine-level effects in Machine.effBuf.
+func (m *Machine) execInterp(node *stageNode, in *inst) outcome {
+	f := &m.fr
+	f.stalled, f.died, f.wroteAny = false, false, false
+	f.lef, f.eargs = in.lef, in.eargs
+	f.funcEnv = f.funcEnv[:0]
+	m.effBuf = m.effBuf[:0]
+	m.spawnArena = m.spawnArena[:0]
+	for _, i := range m.spawnDirty {
+		m.spawnCnt[i] = 0
+	}
+	m.spawnDirty = m.spawnDirty[:0]
+
+	for _, l := range m.memList {
+		l.Begin()
+	}
+	f.exec(node.stmts)
+	exc := false
+	if fork := node.fork; fork != nil && !f.stalled && !f.died {
+		exc = f.lef
+		if exc {
+			f.exec(fork.excStage0)
+		} else {
+			f.exec(fork.commitStage0)
+		}
+	}
+	if f.stalled {
+		for _, l := range m.memList {
+			l.Rollback()
+		}
+		return outcome{stalled: true}
+	}
+	for _, l := range m.memList {
+		l.Commit()
+	}
+	return outcome{died: f.died, wroteAny: f.wroteAny, exc: exc, lef: f.lef, eargs: f.eargs}
 }
 
 func (f *firing) stall() { f.stalled = true }
@@ -299,8 +304,8 @@ func (f *firing) addSpawnIdx(idx int) {
 }
 
 // ---------------------------------------------------------------------------
-// Statement execution (AST interpreter; cfg.Interp). The compiled
-// executor in compile.go is the default — this walker is retained as the
+// Statement execution (AST interpreter; Config.Engine "interp"). The
+// bytecode VM (vmexec.go) is the default — this walker is retained as the
 // differential-testing oracle and must stay observably equivalent.
 
 func (f *firing) exec(stmts []ast.Stmt) {
@@ -753,7 +758,7 @@ func (f *firing) evalBinary(n *ast.Binary) V {
 	return Scalar(binOp(n.Op, lv, rv))
 }
 
-// binOp applies one binary operator; shared by both executors.
+// binOp applies one binary operator.
 func binOp(op ast.BinOp, lv, rv val.Value) val.Value {
 	switch op {
 	case ast.OpAdd:

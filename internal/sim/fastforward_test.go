@@ -1,8 +1,8 @@
 // Quiescent-cycle fast-forward correctness: skipping provably-quiet
-// cycles under the vm engine must be externally invisible. Every
+// cycles must be externally invisible, on either engine. Every
 // observable — cycle counts, firing cycles, retirement traces, memory,
-// watchdog trip points and their diagnoses — must match a per-cycle
-// run of the same design exactly; only wall-clock time may differ.
+// watchdog trip points and their diagnoses — must match a plain Step()
+// loop over the same design exactly; only wall-clock time may differ.
 package sim
 
 import (
@@ -57,60 +57,69 @@ func pacedMachine(t *testing.T, engine string, period, maxEvents int) (*Machine,
 	return m, hookCalls
 }
 
+// stepTo ticks m one Step at a time up to cycle target: the reference
+// run, which never skips a cycle.
+func stepTo(t *testing.T, m *Machine, target int) {
+	t.Helper()
+	for m.Cycle() < target {
+		if err := m.Step(); err != nil {
+			t.Fatalf("step at cycle %d: %v", m.Cycle(), err)
+		}
+	}
+}
+
 func TestFastForwardDeviceDriven(t *testing.T) {
 	const period, events, horizon = 97, 12, 2000
-	type result struct {
-		m     *Machine
-		hooks int
-	}
-	results := map[string]result{}
-	for _, engine := range []string{"closure", "vm"} {
-		m, hooks := pacedMachine(t, engine, period, events)
-		if err := m.Advance(horizon); err != nil {
-			t.Fatalf("%s: advance: %v", engine, err)
-		}
-		if got := m.Cycle(); got != horizon {
-			t.Fatalf("%s: Advance(%d) left cycle at %d", engine, horizon, got)
-		}
-		if m.InFlight() != 0 {
-			t.Fatalf("%s: %d instructions still in flight", engine, m.InFlight())
-		}
-		results[engine] = result{m, *hooks}
-	}
+	for _, engine := range Engines() {
+		t.Run(engine, func(t *testing.T) {
+			ref, refHooks := pacedMachine(t, engine, period, events)
+			stepTo(t, ref, horizon)
+			ff, ffHooks := pacedMachine(t, engine, period, events)
+			if err := ff.Advance(horizon); err != nil {
+				t.Fatalf("advance: %v", err)
+			}
+			if got := ff.Cycle(); got != horizon {
+				t.Fatalf("Advance(%d) left cycle at %d", horizon, got)
+			}
+			if ff.InFlight() != 0 || ref.InFlight() != 0 {
+				t.Fatalf("instructions still in flight: stepped %d, fast-forwarded %d",
+					ref.InFlight(), ff.InFlight())
+			}
 
-	c, v := results["closure"].m, results["vm"].m
-	if cf, vf := c.Firings(), v.Firings(); cf != vf {
-		t.Errorf("firings: closure %d, vm %d", cf, vf)
-	}
-	crs, vrs := c.Retired(), v.Retired()
-	if len(crs) != len(vrs) {
-		t.Fatalf("retirements: closure %d, vm %d", len(crs), len(vrs))
-	}
-	if len(crs) != events {
-		t.Fatalf("retirements: got %d, want %d", len(crs), events)
-	}
-	for k := range crs {
-		if crs[k].IID != vrs[k].IID || crs[k].Cycle != vrs[k].Cycle {
-			t.Errorf("retirement %d: closure iid=%d cycle=%d, vm iid=%d cycle=%d",
-				k, crs[k].IID, crs[k].Cycle, vrs[k].IID, vrs[k].Cycle)
-		}
-	}
-	for a := uint64(0); a < 16; a++ {
-		if cv, vv := c.MemPeek("acc", a).Uint(), v.MemPeek("acc", a).Uint(); cv != vv {
-			t.Errorf("acc[%d]: closure %d, vm %d", a, cv, vv)
-		}
-	}
+			if rf, ff := ref.Firings(), ff.Firings(); rf != ff {
+				t.Errorf("firings: stepped %d, fast-forwarded %d", rf, ff)
+			}
+			rrs, frs := ref.Retired(), ff.Retired()
+			if len(rrs) != len(frs) {
+				t.Fatalf("retirements: stepped %d, fast-forwarded %d", len(rrs), len(frs))
+			}
+			if len(rrs) != events {
+				t.Fatalf("retirements: got %d, want %d", len(rrs), events)
+			}
+			for k := range rrs {
+				if rrs[k].IID != frs[k].IID || rrs[k].Cycle != frs[k].Cycle {
+					t.Errorf("retirement %d: stepped iid=%d cycle=%d, fast-forwarded iid=%d cycle=%d",
+						k, rrs[k].IID, rrs[k].Cycle, frs[k].IID, frs[k].Cycle)
+				}
+			}
+			for a := uint64(0); a < 16; a++ {
+				if rv, fv := ref.MemPeek("acc", a).Uint(), ff.MemPeek("acc", a).Uint(); rv != fv {
+					t.Errorf("acc[%d]: stepped %d, fast-forwarded %d", a, rv, fv)
+				}
+			}
 
-	// The closure engine ticks every cycle; the vm engine must have
-	// skipped the drained stretches between device wakes (at period 97
-	// over 2000 cycles, ~94% of cycles are quiet).
-	if got := results["closure"].hooks; got != horizon {
-		t.Errorf("closure device hook ran %d times, want %d", got, horizon)
-	}
-	if got := results["vm"].hooks; got >= horizon/2 {
-		t.Errorf("vm device hook ran %d of %d cycles: fast-forward never engaged", got, horizon)
-	} else if got < events {
-		t.Errorf("vm device hook ran %d times, fewer than the %d wake events", got, events)
+			// The stepped run ticks every cycle; Advance must have skipped
+			// the drained stretches between device wakes (at period 97
+			// over 2000 cycles, ~94% of cycles are quiet).
+			if *refHooks != horizon {
+				t.Errorf("stepped device hook ran %d times, want %d", *refHooks, horizon)
+			}
+			if got := *ffHooks; got >= horizon/2 {
+				t.Errorf("device hook ran %d of %d cycles: fast-forward never engaged", got, horizon)
+			} else if got < events {
+				t.Errorf("device hook ran %d times, fewer than the %d wake events", got, events)
+			}
+		})
 	}
 }
 
@@ -119,40 +128,46 @@ func TestFastForwardDeviceDriven(t *testing.T) {
 // diagnosis whether or not the idle run-up was fast-forwarded, because
 // the trip itself is raised by a real Step.
 func TestFastForwardWatchdogExact(t *testing.T) {
-	type trip struct {
-		n  int
-		dl *DeadlockError
-	}
-	trips := map[string]trip{}
-	for _, engine := range []string{"closure", "vm"} {
-		m := build(t, crossLockSrc, Config{Engine: engine})
-		m.Start("a", val.New(10, 32))
-		m.Start("b", val.New(20, 32))
-		n, err := m.Run(5000)
-		var dl *DeadlockError
-		if !errors.As(err, &dl) {
-			t.Fatalf("%s: got %T (%v), want *DeadlockError", engine, err, err)
-		}
-		trips[engine] = trip{n, dl}
-	}
-	c, v := trips["closure"], trips["vm"]
-	if c.n != v.n {
-		t.Errorf("run length: closure %d, vm %d", c.n, v.n)
-	}
-	if c.dl.Cycle != v.dl.Cycle || c.dl.Idle != v.dl.Idle || c.dl.InFlight != v.dl.InFlight {
-		t.Errorf("deadlock: closure cycle=%d idle=%d inflight=%d, vm cycle=%d idle=%d inflight=%d",
-			c.dl.Cycle, c.dl.Idle, c.dl.InFlight, v.dl.Cycle, v.dl.Idle, v.dl.InFlight)
-	}
-	if c.dl.Error() != v.dl.Error() {
-		t.Errorf("diagnosis differs:\nclosure: %s\nvm: %s", c.dl.Error(), v.dl.Error())
+	for _, engine := range Engines() {
+		t.Run(engine, func(t *testing.T) {
+			ref := build(t, crossLockSrc, Config{Engine: engine})
+			ref.Start("a", val.New(10, 32))
+			ref.Start("b", val.New(20, 32))
+			var err error
+			for ref.Cycle() < 5000 && err == nil {
+				err = ref.Step()
+			}
+			var rdl *DeadlockError
+			if !errors.As(err, &rdl) {
+				t.Fatalf("stepped: got %T (%v), want *DeadlockError", err, err)
+			}
+
+			ff := build(t, crossLockSrc, Config{Engine: engine})
+			ff.Start("a", val.New(10, 32))
+			ff.Start("b", val.New(20, 32))
+			n, err := ff.Run(5000)
+			var dl *DeadlockError
+			if !errors.As(err, &dl) {
+				t.Fatalf("run: got %T (%v), want *DeadlockError", err, err)
+			}
+			if n != ref.Cycle() {
+				t.Errorf("run length: stepped %d, run %d", ref.Cycle(), n)
+			}
+			if rdl.Cycle != dl.Cycle || rdl.Idle != dl.Idle || rdl.InFlight != dl.InFlight {
+				t.Errorf("deadlock: stepped cycle=%d idle=%d inflight=%d, run cycle=%d idle=%d inflight=%d",
+					rdl.Cycle, rdl.Idle, rdl.InFlight, dl.Cycle, dl.Idle, dl.InFlight)
+			}
+			if rdl.Error() != dl.Error() {
+				t.Errorf("diagnosis differs:\nstepped: %s\nrun: %s", rdl.Error(), dl.Error())
+			}
+		})
 	}
 }
 
-// TestAdvanceEmptyMachine: with no devices and nothing in flight the vm
-// engine jumps the whole horizon in one skip; either way Advance lands
-// exactly on target.
+// TestAdvanceEmptyMachine: with no devices and nothing in flight Advance
+// jumps the whole horizon in one skip and lands exactly on target.
 func TestAdvanceEmptyMachine(t *testing.T) {
-	for _, engine := range []string{"closure", "vm"} {
+	for _, engine := range Engines() {
 		m := build(t, pacedSrc, Config{Engine: engine})
 		if err := m.Advance(100000); err != nil {
 			t.Fatalf("%s: %v", engine, err)
@@ -167,7 +182,7 @@ func TestAdvanceEmptyMachine(t *testing.T) {
 // not a budget — in-flight work at the horizon is not an error, and a
 // later Advance picks up exactly where the first stopped.
 func TestAdvanceBudgetErrorFree(t *testing.T) {
-	for _, engine := range []string{"closure", "vm"} {
+	for _, engine := range Engines() {
 		m := build(t, counterPipe, Config{Engine: engine})
 		m.Start("p", val.New(0, 32))
 		if err := m.Advance(3); err != nil {

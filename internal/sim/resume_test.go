@@ -5,7 +5,7 @@
 // identical to the uninterrupted run — same retirement trace (iids and
 // cycle numbers included), same registers, memory, CSRs and counters.
 // The snapshot itself must also round-trip save→restore→save to the
-// exact same bytes, and be byte-identical across all three executors
+// exact same bytes, and be byte-identical across both executors
 // (machine state is executor-independent by construction).
 package sim_test
 
@@ -174,7 +174,7 @@ func resumeCell(t *testing.T, v designs.Variant, w workloads.Workload, seed uint
 // snapshot from one variant must not restore into another.
 func TestRestoreRejectsOtherDesign(t *testing.T) {
 	w := resumeWorkloads(t)[0]
-	src := resumeBuild(t, designs.All, w, 0, "closure")
+	src := resumeBuild(t, designs.All, w, 0, "vm")
 	if _, err := src.Run(50); err != nil {
 		var cb *sim.CycleBudgetError
 		if !errors.As(err, &cb) {
@@ -185,7 +185,7 @@ func TestRestoreRejectsOtherDesign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := resumeBuild(t, designs.Base, w, 0, "closure")
+	dst := resumeBuild(t, designs.Base, w, 0, "vm")
 	err = dst.M.Restore(bytes.NewReader(snap))
 	if err == nil || !strings.Contains(err.Error(), "design mismatch") {
 		t.Fatalf("cross-variant restore: got %v, want design mismatch", err)
@@ -197,7 +197,7 @@ func TestRestoreRejectsOtherDesign(t *testing.T) {
 // fault decisions.
 func TestRestoreRejectsOtherSeed(t *testing.T) {
 	w := resumeWorkloads(t)[0]
-	src := resumeBuild(t, designs.Base, w, 0xC0FFEE01, "closure")
+	src := resumeBuild(t, designs.Base, w, 0xC0FFEE01, "vm")
 	if _, err := src.Run(50); err != nil {
 		var cb *sim.CycleBudgetError
 		if !errors.As(err, &cb) {
@@ -208,12 +208,12 @@ func TestRestoreRejectsOtherSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other := resumeBuild(t, designs.Base, w, 0xC0FFEE02, "closure")
+	other := resumeBuild(t, designs.Base, w, 0xC0FFEE02, "vm")
 	err = other.M.Restore(bytes.NewReader(snap))
 	if err == nil || !strings.Contains(err.Error(), "fault seed") {
 		t.Fatalf("cross-seed restore: got %v, want fault seed mismatch", err)
 	}
-	unfaulted := resumeBuild(t, designs.Base, w, 0, "closure")
+	unfaulted := resumeBuild(t, designs.Base, w, 0, "vm")
 	err = unfaulted.M.Restore(bytes.NewReader(snap))
 	if err == nil || !strings.Contains(err.Error(), "fault injection") {
 		t.Fatalf("faulted snapshot into unfaulted machine: got %v, want fault injection mismatch", err)
@@ -242,13 +242,13 @@ func TestRunCtxCancelLeavesResumableSnapshot(t *testing.T) {
 	seed := uint64(0xC0FFEE03)
 	budget := w.MaxSteps * 32
 
-	ref := resumeBuild(t, designs.All, w, seed, "closure")
+	ref := resumeBuild(t, designs.All, w, seed, "vm")
 	n, err := ref.Run(budget)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	run := resumeBuild(t, designs.All, w, seed, "closure")
+	run := resumeBuild(t, designs.All, w, seed, "vm")
 	ctx, cancel := contextWithCycleLimit(run, n/2)
 	defer cancel()
 	_, err = run.RunCtx(ctx, budget)
@@ -260,7 +260,7 @@ func TestRunCtxCancelLeavesResumableSnapshot(t *testing.T) {
 		t.Fatal("CanceledError carries no snapshot")
 	}
 
-	res := resumeBuild(t, designs.All, w, seed, "closure")
+	res := resumeBuild(t, designs.All, w, seed, "vm")
 	if err := res.M.Restore(bytes.NewReader(ce.Snapshot)); err != nil {
 		t.Fatalf("restore canceled snapshot: %v", err)
 	}

@@ -44,7 +44,7 @@ import (
 // a record of named bit vectors. Records store fields sorted by name so
 // field access resolves to an index at machine-build time. V is an alias
 // of vm.V: machine state slices are shared with the bytecode dispatch
-// loop without conversion, so all three executors see one representation.
+// loop without conversion, so both executors see one representation.
 type V = vm.V
 
 // recVal is the record payload of a V (see vm.Rec).
@@ -62,8 +62,8 @@ func Record(fields map[string]val.Value) V { return vm.Record(fields) }
 
 // ExternFunc implements an extern combinational function in Go — the
 // analogue of an imported Verilog module in PDL. The args slice is only
-// valid for the duration of the call (the compiled executors pass a
-// reusable scratch buffer); implementations must copy it to retain it.
+// valid for the duration of the call (the vm engine passes a reusable
+// scratch buffer); implementations must copy it to retain it.
 type ExternFunc = vm.ExternFunc
 
 // FaultInjector is the hook-point contract for deterministic fault
@@ -117,16 +117,12 @@ type Config struct {
 	// TraceRetirements keeps the full retirement trace (default true
 	// behaviour is controlled by the caller reading Retired).
 	MaxTrace int
-	// Engine selects the executor: "closure" (the compile-once stage
-	// executor, the default), "interp" (the per-cycle AST interpreter,
-	// kept as the differential-testing oracle and debugging aid), or
-	// "vm" (the bytecode VM over struct-of-arrays state; one compiled
-	// Program is shared by every machine of the same design). The three
-	// are semantically identical. Empty defers to Interp.
+	// Engine selects the executor: "vm" (the bytecode VM over
+	// struct-of-arrays state, the default; one compiled Program is shared
+	// by every machine of the same design) or "interp" (the per-cycle AST
+	// interpreter, kept as the differential-testing oracle and debugging
+	// aid). The two are semantically identical. Empty selects "vm".
 	Engine string
-	// Interp selects the AST interpreter; the legacy switch, equivalent
-	// to Engine "interp". Engine wins when both are set.
-	Interp bool
 	// Faults plugs a deterministic fault injector into the machine's
 	// hook points. nil (the default) disables injection entirely.
 	Faults FaultInjector
@@ -141,28 +137,25 @@ type Config struct {
 	Observer Observer
 }
 
-// Executor engines (resolved from Config.Engine / Config.Interp).
+// Executor engines (resolved from Config.Engine).
 const (
-	engClosure uint8 = iota
+	engVM uint8 = iota
 	engInterp
-	engVM
 )
 
 // Engines lists the valid Config.Engine values, for flag help text.
-func Engines() []string { return []string{"interp", "closure", "vm"} }
+func Engines() []string { return []string{"interp", "vm"} }
 
 // ParseEngine validates an engine name (e.g. an -exec flag value),
 // mapping the empty string to the default.
 func ParseEngine(s string) (string, error) {
 	switch s {
-	case "", "closure":
-		return "closure", nil
+	case "", "vm":
+		return "vm", nil
 	case "interp":
 		return "interp", nil
-	case "vm":
-		return "vm", nil
 	}
-	return "", fmt.Errorf("sim: unknown engine %q (want interp, closure or vm)", s)
+	return "", fmt.Errorf("sim: unknown engine %q (want interp or vm)", s)
 }
 
 // defaultWatchdog is the hang watchdog's default patience. It must
@@ -226,22 +219,16 @@ type Machine struct {
 	fieldIdx   map[*ast.FieldAccess]int // sorted-field index, -1 when unknown
 	scratch    firingScratch
 
-	// Compiled execution plans (built once at New unless cfg.Interp).
-	funcPlans map[string]*funcPlan
-
 	// Hot-path arenas, all reused across firings so the steady-state
-	// cycle loop allocates nothing: the single firing record, the typed
-	// effect buffer, spawn argument storage, per-pipe spawn counters,
-	// in-language function frames, extern argument scratch, the
-	// instruction free list, and the retirement-args arena.
+	// cycle loop allocates nothing: the single firing record, the
+	// interpreter's typed effect buffer, spawn argument storage and
+	// per-pipe spawn counters, the instruction free list, and the
+	// retirement-args arena.
 	fr         firing
 	effBuf     []effectRec
 	spawnArena []val.Value
 	spawnCnt   []int
 	spawnDirty []int
-	frameArena []V
-	frameTop   int
-	extArgs    []val.Value
 	instPool   []*inst
 	retArgs    []val.Value
 	snapBuf    []*inst
@@ -266,27 +253,6 @@ type Machine struct {
 	vmProg *vm.Program
 	vmEnv  vm.Env
 }
-
-// pushFrame reserves n slots on the function-frame arena and returns
-// them zeroed. Frames are slices into a grow-only arena; growth leaves
-// outstanding frames pointing at the old backing array, which stays
-// valid and private to their callers.
-func (m *Machine) pushFrame(n int) []V {
-	need := m.frameTop + n
-	if need > len(m.frameArena) {
-		na := make([]V, need*2)
-		copy(na, m.frameArena[:m.frameTop])
-		m.frameArena = na
-	}
-	fr := m.frameArena[m.frameTop:need:need]
-	m.frameTop = need
-	for i := range fr {
-		fr[i] = V{}
-	}
-	return fr
-}
-
-func (m *Machine) popFrame(n int) { m.frameTop -= n }
 
 // volatileReg is a resolved volatile register: its declaration plus its
 // index into the machine's struct-of-arrays value store (Machine.volVals).
@@ -366,7 +332,6 @@ type stageNode struct {
 	pos   int // index in pipeState.nodes (processing order); Observer coordinate
 	gid   int // machine-global stage id (FaultInjector coordinate)
 	stmts []ast.Stmt
-	code  []cStmt    // compiled plan for stmts (nil under cfg.Interp)
 	next  *stageNode // linear successor; nil means retire
 	fork  *forkInfo  // non-nil on the translated final body stage
 	cur   *inst
@@ -386,8 +351,6 @@ func (n *stageNode) label() string {
 type forkInfo struct {
 	commitStage0 []ast.Stmt
 	excStage0    []ast.Stmt
-	commitCode   []cStmt // compiled commitStage0
-	excCode      []cStmt // compiled excStage0
 	commitNext   *stageNode
 	excNext      *stageNode
 }
@@ -462,20 +425,7 @@ func New(info *check.Info, trs map[string]*core.Result, cfg Config) (*Machine, e
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Engine == "" && cfg.Interp {
-		engName = "interp" // legacy switch; Engine wins when set
-	}
-	var engine uint8
-	switch engName {
-	case "interp":
-		engine = engInterp
-	case "vm":
-		engine = engVM
-	default:
-		engine = engClosure
-	}
 	cfg.Engine = engName
-	cfg.Interp = engine == engInterp
 	m := &Machine{
 		info:    info,
 		trs:     trs,
@@ -566,11 +516,9 @@ func New(info *check.Info, trs map[string]*core.Result, cfg Config) (*Machine, e
 	}
 	m.spawnCnt = make([]int, len(m.pipeOrder))
 	m.fr.m = m
-	m.engine = engine
-	switch engine {
-	case engClosure:
-		m.compileAll()
-	case engVM:
+	if engName == "interp" {
+		m.engine = engInterp
+	} else {
 		m.buildVM()
 	}
 	return m, nil
@@ -669,10 +617,10 @@ func (m *Machine) OnCycle(fn func(m *Machine)) {
 // wake(cycle) returns the earliest cycle >= cycle at which the device
 // may act (observe or mutate machine state); before that cycle the hook
 // must be a pure no-op. Machines whose devices all carry predictors are
-// eligible for quiescent-cycle fast-forward under the vm engine: when a
-// cycle moves nothing, Run skips ahead in O(1) to the next cycle that
-// can — the next device wake, the watchdog trip, or the budget end —
-// with externally identical behaviour (same cycle counts, same errors).
+// eligible for quiescent-cycle fast-forward: when a cycle moves
+// nothing, Run skips ahead in O(1) to the next cycle that can — the
+// next device wake, the watchdog trip, or the budget end — with
+// externally identical behaviour (same cycle counts, same errors).
 func (m *Machine) OnCycleWake(fn func(m *Machine), wake func(cycle int) int) {
 	m.devices = append(m.devices, fn)
 	m.deviceWakes = append(m.deviceWakes, wake)
@@ -995,18 +943,19 @@ func (m *Machine) RunCtx(ctx context.Context, maxCycles int) (int, error) {
 	return m.cycle - start, nil
 }
 
-// quiesceSkip implements quiescent-cycle fast-forward for the vm
-// engine. When the previous cycle moved nothing — no stage fired, no
-// entry-queue pull, no death — the machine is at a fixed point: ticking
-// changes nothing but the cycle counter until an external event (a
-// device wake; fault hooks and observers disqualify a machine since
-// they see every cycle). Instead of ticking, jump the cycle counter
-// straight to the last provably-quiet cycle, bounded by the next device
-// wake, the watchdog trip (which must be raised by a real Step so its
-// diagnosis and cycle stamp match an unskipped run exactly), and the
-// caller's remaining budget. Returns the number of cycles skipped.
+// quiesceSkip implements quiescent-cycle fast-forward, a scheduler
+// property shared by both engines. When the previous cycle moved
+// nothing — no stage fired, no entry-queue pull, no death — the
+// machine is at a fixed point: ticking changes nothing but the cycle
+// counter until an external event (a device wake; fault hooks and
+// observers disqualify a machine since they see every cycle). Instead
+// of ticking, jump the cycle counter straight to the last
+// provably-quiet cycle, bounded by the next device wake, the watchdog
+// trip (which must be raised by a real Step so its diagnosis and cycle
+// stamp match an unskipped run exactly), and the caller's remaining
+// budget. Returns the number of cycles skipped.
 func (m *Machine) quiesceSkip(budgetLeft int) int {
-	if m.engine != engVM || m.failed != nil || m.pulledAny ||
+	if m.failed != nil || m.pulledAny ||
 		m.faults != nil || m.cfg.Observer != nil || m.traceW != nil {
 		return 0
 	}
@@ -1061,7 +1010,7 @@ func (m *Machine) quiesceSkip(budgetLeft int) int {
 // Run it does not stop when the machine drains (a predictable device
 // may repopulate it later) and never reports a budget error: the
 // horizon is the point, not a limit. Quiescent stretches — including
-// fully drained ones — fast-forward in O(1) under the vm engine.
+// fully drained ones — fast-forward in O(1).
 func (m *Machine) Advance(n int) error {
 	target := m.cycle + n
 	for m.cycle < target {

@@ -36,7 +36,7 @@ func goldenSnapshot(t *testing.T, v designs.Variant) ([]byte, workloads.Workload
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := resumeBuild(t, v, w, 0, "closure")
+	p := resumeBuild(t, v, w, 0, "vm")
 	if _, err := p.Run(goldenCycle); err != nil {
 		var cb *sim.CycleBudgetError
 		if !errors.As(err, &cb) {
@@ -81,7 +81,7 @@ func TestSnapshotGolden(t *testing.T) {
 			}
 
 			// The fixture stays loadable: restore it and run to completion.
-			res := resumeBuild(t, v, w, 0, "closure")
+			res := resumeBuild(t, v, w, 0, "vm")
 			if err := res.M.Restore(bytes.NewReader(want)); err != nil {
 				t.Fatalf("restore fixture: %v", err)
 			}
@@ -97,7 +97,7 @@ func TestSnapshotGolden(t *testing.T) {
 // every mutation must yield a typed error, never a bad machine.
 func TestSnapshotCorruptionRejected(t *testing.T) {
 	good, w := goldenSnapshot(t, designs.All)
-	fresh := func() *designs.Processor { return resumeBuild(t, designs.All, w, 0, "closure") }
+	fresh := func() *designs.Processor { return resumeBuild(t, designs.All, w, 0, "vm") }
 
 	t.Run("truncated", func(t *testing.T) {
 		if err := fresh().M.Restore(bytes.NewReader(good[:len(good)/2])); err == nil {

@@ -1,15 +1,19 @@
-// The bytecode-engine bridge (Config.Engine "vm"): compiles the design
-// to one shared vm.Program, wires the machine's struct-of-arrays state
-// into a vm.Env, and runs firings through the dispatch loop while
-// reusing the machine's own effect application, write-back and
-// squash/spawn machinery — so the engines differ only in how a stage's
-// statements execute, never in what a firing means.
+// The bytecode engine (Config.Engine "vm", the default): compiles the
+// design to one shared vm.Program, wires the machine's struct-of-arrays
+// state into a vm.Env, and runs a stage's statements through the
+// dispatch loop. Everything around that — preconditions, write-back,
+// effects through the machine's squash/spawn machinery, destination
+// choice — is the firing protocol fire shares with the interp oracle,
+// so the engines differ only in how a stage's statements execute, never
+// in what a firing means.
 package sim
 
 import (
-	"fmt"
+	"reflect"
+	"runtime"
 	"sync"
 
+	"xpdl/internal/check"
 	"xpdl/internal/pdl/ast"
 	"xpdl/internal/vm"
 )
@@ -20,15 +24,26 @@ import (
 // is derived deterministically from declaration or sorted-name order),
 // so every machine built from the same *check.Info can run one image.
 // This is what makes Batch lanes cheap: N machines, one decode.
-var vmProgCache sync.Map // *check.Info → *vm.Program
+//
+// Entries live exactly as long as their design. The key is the Info's
+// address, which does not keep the Info reachable, and a finalizer on
+// the Info deletes the entry once the design is garbage. The address
+// cannot be reused by a new Info before that delete: the finalizer
+// keeps the Info's memory allocated until it has run. A Program holds
+// no reference back to its Info, so it cannot keep its own key alive.
+var vmProgCache sync.Map // uintptr (*check.Info address) → *vm.Program
 
 // buildVM attaches the bytecode engine: the (possibly cached) Program
 // plus this machine's dispatch environment.
 func (m *Machine) buildVM() {
-	if p, ok := vmProgCache.Load(m.info); ok {
+	key := reflect.ValueOf(m.info).Pointer()
+	if p, ok := vmProgCache.Load(key); ok {
 		m.vmProg = p.(*vm.Program)
 	} else {
-		p, _ := vmProgCache.LoadOrStore(m.info, m.compileVMProgram())
+		p, loaded := vmProgCache.LoadOrStore(key, m.compileVMProgram())
+		if !loaded {
+			runtime.SetFinalizer(m.info, func(*check.Info) { vmProgCache.Delete(key) })
+		}
 		m.vmProg = p.(*vm.Program)
 	}
 	m.initVMEnv()
@@ -201,35 +216,14 @@ func (h vmHost) NextSpecHandle(pipe int) uint64 {
 	return v
 }
 
-// fireVM is fire() for the bytecode engine: the same firing protocol —
-// waiting/fault/occupancy preconditions, lock transactions, write-back,
-// effects, destination choice — around a bytecode Exec instead of a
-// closure or AST walk. One engine-specific refinement: stages whose
-// analysis proved no execution can stall at or after a lock mutation
-// (StageProg.NeedsTxn) skip Begin/Commit entirely — a successful firing
-// applies the same mutations either way, and a stalling one has nothing
-// to roll back.
-func (m *Machine) fireVM(node *stageNode) bool {
-	in := node.cur
-	if in.waiting != nil {
-		return false // blocked on a sub-pipeline call
-	}
-	if m.faults != nil && m.faults.StallStage(m.cycle, node.gid) {
-		return false // injected structural stall: timing-only, no trace
-	}
-	if node.fork != nil {
-		if node.fork.commitNext != nil && node.fork.commitNext.cur != nil {
-			return false
-		}
-	} else if node.next != nil && node.next.cur != nil {
-		return false
-	}
-
-	// Identify the firing for panic attribution (see Machine.Step).
-	m.fr.node, m.fr.in = node, in
-
+// execVM runs a stage on the bytecode engine, leaving deferred effects
+// in the dispatch environment for applyVMEffects. One
+// engine-specific refinement: stages whose analysis proved no execution
+// can stall at or after a lock mutation (StageProg.NeedsTxn) skip
+// Begin/Commit entirely — a successful firing applies the same mutations
+// either way, and a stalling one has nothing to roll back.
+func (m *Machine) execVM(node *stageNode, in *inst) outcome {
 	sp := &m.vmProg.Stages[node.gid]
-	m.scratch.epoch++
 	e := &m.vmEnv
 	e.Epoch = m.scratch.epoch
 	e.Vars = in.vars
@@ -265,61 +259,14 @@ func (m *Machine) fireVM(node *stageNode) bool {
 				l.Rollback()
 			}
 		}
-		return false
+		return outcome{stalled: true}
 	}
 	if needsTxn {
 		for _, l := range m.memList {
 			l.Commit()
 		}
 	}
-
-	if e.WroteAny {
-		sc := &m.scratch
-		for slot := range in.vars {
-			if sc.localEpoch[slot] == sc.epoch {
-				in.vars[slot] = slotVal{V: sc.local[slot], OK: true}
-			}
-			if sc.pendEpoch[slot] == sc.epoch {
-				in.vars[slot] = slotVal{V: sc.pend[slot], OK: true}
-			}
-		}
-	}
-	in.lef = e.Lef
-	in.eargs = e.EArgs
-	m.applyVMEffects(in, e)
-	m.firings++
-
-	if e.Died {
-		if node.cur == in {
-			node.cur = nil
-		}
-		if obs := m.cfg.Observer; obs != nil {
-			obs.InstKilled(node.pipe.name, node.pos, -1)
-		}
-		return true
-	}
-	if obs := m.cfg.Observer; obs != nil {
-		obs.StageFired(node.pipe.name, node.pos)
-	}
-
-	dest := node.next
-	if node.fork != nil {
-		if e.TookExc {
-			dest = node.fork.excNext
-		} else {
-			dest = node.fork.commitNext
-		}
-	}
-	node.cur = nil
-	if dest == nil {
-		m.retire(in, node)
-		return true
-	}
-	if dest.cur != nil {
-		panic(fmt.Sprintf("sim: %s destination %s occupied by iid=%d", node.label(), dest.label(), dest.cur.iid))
-	}
-	dest.cur = in
-	return true
+	return outcome{died: e.Died, wroteAny: e.WroteAny, exc: e.TookExc, lef: e.Lef, eargs: e.EArgs}
 }
 
 // applyVMEffects commits a vm firing's deferred mutations in program

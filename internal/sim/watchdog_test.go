@@ -39,14 +39,14 @@ pipe b(i: uint<32>)[m1, m2] {
 }
 `
 
+// watchdogEngines names the subtests per engine; "compiled" is the
+// bytecode VM.
+var watchdogEngines = []struct{ name, engine string }{{"compiled", "vm"}, {"interp", "interp"}}
+
 func TestWatchdogCatchesCrossLockDeadlock(t *testing.T) {
-	for _, interp := range []bool{false, true} {
-		name := "compiled"
-		if interp {
-			name = "interp"
-		}
-		t.Run(name, func(t *testing.T) {
-			m := build(t, crossLockSrc, Config{Interp: interp})
+	for _, e := range watchdogEngines {
+		t.Run(e.name, func(t *testing.T) {
+			m := build(t, crossLockSrc, Config{Engine: e.engine})
 			m.Start("a", val.New(10, 32))
 			m.Start("b", val.New(20, 32))
 			_, err := m.Run(5000)
@@ -136,14 +136,10 @@ pipe p(i: uint<32>)[] {
 `
 
 func TestInternalErrorFromPanickingExtern(t *testing.T) {
-	for _, interp := range []bool{false, true} {
-		name := "compiled"
-		if interp {
-			name = "interp"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, e := range watchdogEngines {
+		t.Run(e.name, func(t *testing.T) {
 			m := build(t, panicExternSrc, Config{
-				Interp: interp,
+				Engine: e.engine,
 				Externs: map[string]ExternFunc{"boom": func(args []val.Value) V {
 					panic("extern exploded")
 				}},

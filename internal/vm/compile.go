@@ -1,9 +1,9 @@
-// The AST → bytecode compiler. It mirrors internal/sim's closure
-// compiler case for case: every opcode sequence emitted here evaluates in
-// the same order, applies the same width coercions, and panics with the
-// same messages as the corresponding closure. The host simulator supplies
-// name resolution through Hooks so this package stays independent of the
-// machine's internal binding tables.
+// The AST → bytecode compiler. It mirrors internal/sim's AST
+// interpreter case for case: every opcode sequence emitted here evaluates
+// in the same order, applies the same width coercions, and panics with
+// the same messages as the corresponding interpreter case. The host
+// simulator supplies name resolution through Hooks so this package stays
+// independent of the machine's internal binding tables.
 //
 // Register discipline: each stage compiles into one window. Registers
 // [0,NSlots) are pinned, one per latched variable slot; a compile-time
@@ -12,8 +12,8 @@
 // Temporaries live above the pinned range and are reset per statement.
 // Constant subtrees fold at compile time (guarded: a folding panic, e.g.
 // an out-of-range constant slice, falls back to runtime evaluation so the
-// panic still happens on the executing cycle, exactly as in the closure
-// executor); binary operations with one constant operand fuse into
+// panic still happens on the executing cycle, exactly as in the
+// interpreter); binary operations with one constant operand fuse into
 // immediate forms, mirroring the operator when the constant is on the
 // left.
 package vm
@@ -631,7 +631,7 @@ func (sc *segc) funcStmt(s ast.Stmt) {
 // asks for the result in that register, but the returned register may
 // differ (e.g. a cached slot register); callers needing a specific
 // placement must Move. The emitted code evaluates operands in the same
-// order as the closure executor.
+// order as the interpreter.
 func (sc *segc) expr(e ast.Expr, want int) int {
 	if fv, ok := sc.fold(e); ok {
 		return sc.emitConst(fv, want)
@@ -986,7 +986,7 @@ func (sc *segc) slice(n *ast.Slice, want int) int {
 		return dst
 	}
 	// Dynamic (or out-of-packing-range constant) bounds: evaluate in
-	// closure order x, hi, lo; runtime panics are preserved.
+	// interpreter order x, hi, lo; runtime panics are preserved.
 	var hr, lr int
 	if hok {
 		hr = sc.emitConst(hv, -1)
@@ -1066,8 +1066,8 @@ func (sc *segc) callExpr(n *ast.CallExpr, want int) int {
 		return dst
 	}
 
-	// Extern (externs shadow in-language functions, like the closure
-	// compiler's lookup order).
+	// Extern (externs shadow in-language functions, like the
+	// interpreter's lookup order).
 	if er, ok := h.Extern(n.Name); ok {
 		sc.emit(Instr{Op: OpExternPre, Imm: er.Site})
 		for i, a := range n.Args {
@@ -1081,7 +1081,7 @@ func (sc *segc) callExpr(n *ast.CallExpr, want int) int {
 	}
 
 	// In-language function: arguments materialize into consecutive
-	// registers, evaluated left to right like the closure executor.
+	// registers, evaluated left to right like the interpreter.
 	fi, ok := sc.c.funcIdx[n.Name]
 	if !ok {
 		sc.panicOp(fmt.Sprintf("sim: call to unknown function %q", n.Name))
@@ -1110,7 +1110,7 @@ func (sc *segc) callExpr(n *ast.CallExpr, want int) int {
 // fold evaluates a constant subtree at compile time, mirroring the
 // runtime semantics exactly. Any panic during folding (an out-of-range
 // slice, an invalid width) declines the fold so the panic happens at run
-// time instead, matching the closure executor.
+// time instead, matching the interpreter.
 func (sc *segc) fold(e ast.Expr) (v V, ok bool) {
 	defer func() {
 		if recover() != nil {

@@ -4,9 +4,9 @@
 // simulator so its write-back and effect machinery applies unchanged.
 //
 // Stall/death discipline: the loop aborts instantly at the instruction
-// that stalls or dies. This is equivalent to the closure executor's
-// poisoned-flag threading because everything the closure executor still
-// runs after a stall is pure evaluation (see the package comment).
+// that stalls or dies. This is equivalent to the interpreter's
+// stalled-flag threading because everything the interpreter still runs
+// after a stall is pure evaluation (see the package comment).
 package vm
 
 import (
@@ -43,7 +43,7 @@ type Env struct {
 	Gefs []bool      // per-pipe global exception flags (shared)
 	Vols []val.Value // volatile registers (shared)
 
-	Mems   []locks.Lock  // locked memories, memory-list order (shared)
+	Mems   []locks.Lock   // locked memories, memory-list order (shared)
 	Plains []*locks.Plain // plain memories, declaration order (shared)
 
 	Externs []ExternFunc
@@ -94,7 +94,7 @@ func (e *Env) Exec(p *Program, sp *StageProg) {
 		}
 	}
 	// A stall mid-extern/cat aborts between pushes; unwind the scratch
-	// arena like the closure executor's per-site unwinding does.
+	// arena like the interpreter's per-site bail-out does.
 	e.ExtArgs = e.ExtArgs[:extBase]
 }
 

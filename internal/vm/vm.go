@@ -1,5 +1,5 @@
 // Package vm lowers a compiled XPDL design one level further than the
-// closure executor: every stage's statement list becomes a flat slice of
+// AST interpreter: every stage's statement list becomes a flat slice of
 // fixed-size bytecode instructions with a dense opcode set, executed by a
 // threaded dispatch loop over struct-of-arrays machine state (registers,
 // latch slots, volatile registers, spawn/extern arenas — contiguous
@@ -8,10 +8,10 @@
 // chaos-seed lanes, sweep points, cosim replicas — share a single decoded
 // image and differ only in state (see Batch).
 //
-// The executor must stay observably equivalent to the AST interpreter and
-// the closure executor in internal/sim, which remain the differential
-// oracles. Equivalence relies on one proven property: after a stall or
-// death, the closure executor only performs pure evaluation (per-argument
+// The executor must stay observably equivalent to the AST interpreter in
+// internal/sim, which remains the differential oracle. Equivalence relies
+// on one proven property: after a stall or death, the interpreter only
+// performs pure evaluation (per-argument
 // stall bails stop extern invocation, and lock/memory mutation sites all
 // check the stall flag first), so the dispatch loop may abort instantly
 // at the stalling instruction instead of threading a poisoned flag
@@ -138,19 +138,19 @@ const (
 )
 
 // Effect kinds. Effects are the deferred machine mutations a firing
-// produces; the host translates them to its own effect records and
-// applies them with the same machinery as the other executors.
+// produces; the host applies them through the same machine entry
+// points as the interpreter's effects.
 const (
-	EffVolWrite  uint8 = iota // A=volatile index, Val=value
-	EffSetGEF                 // A=pipe, Flag=value
-	EffPipeClear              // A=pipe
-	EffSpecClear              // A=pipe
-	EffVerify                 // A=pipe, H=handle
-	EffInvalidate             // A=pipe, H=handle
-	EffSpecResolve            // A=pipe
-	EffReturn                 // V=result value
-	EffSpawn                  // A=pipe, Flag=cross-pipe, ArgOff/ArgN, Str=result var (-1 none)
-	EffSpecSpawn              // A=pipe, ArgOff/ArgN, H=handle
+	EffVolWrite    uint8 = iota // A=volatile index, Val=value
+	EffSetGEF                   // A=pipe, Flag=value
+	EffPipeClear                // A=pipe
+	EffSpecClear                // A=pipe
+	EffVerify                   // A=pipe, H=handle
+	EffInvalidate               // A=pipe, H=handle
+	EffSpecResolve              // A=pipe
+	EffReturn                   // V=result value
+	EffSpawn                    // A=pipe, Flag=cross-pipe, ArgOff/ArgN, Str=result var (-1 none)
+	EffSpecSpawn                // A=pipe, ArgOff/ArgN, H=handle
 )
 
 // Effect is one deferred mutation (see the Eff* kinds).
@@ -310,12 +310,12 @@ const (
 	OpLockAbort // abort lock C (immediate, like the statement)
 
 	// Spawns (sub-pipeline calls).
-	OpStallIfFull   // stall when pipe A's entry queue + pending spawns >= EntryCap
-	OpSpawnPush     // push val.New(Regs[B].Uint(), C) onto the spawn-arg arena
-	OpSpawn         // spawn effect into pipe A: B args, result var Strs[C] (C<0 none), Imm bit0 = cross-pipe
-	OpSpecSpawnFin  // consume pipe B's next spec handle into slot A, spawn effect with C args
-	OpSpecCheck     // resolve/die on the instruction's speculation status (pending: keep going)
-	OpSpecBarrier   // like OpSpecCheck but stall while pending
+	OpStallIfFull  // stall when pipe A's entry queue + pending spawns >= EntryCap
+	OpSpawnPush    // push val.New(Regs[B].Uint(), C) onto the spawn-arg arena
+	OpSpawn        // spawn effect into pipe A: B args, result var Strs[C] (C<0 none), Imm bit0 = cross-pipe
+	OpSpecSpawnFin // consume pipe B's next spec handle into slot A, spawn effect with C args
+	OpSpecCheck    // resolve/die on the instruction's speculation status (pending: keep going)
+	OpSpecBarrier  // like OpSpecCheck but stall while pending
 
 	// Exception bookkeeping.
 	OpSetLEF  // set the local exception flag

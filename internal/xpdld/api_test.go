@@ -170,6 +170,43 @@ func TestJobKindsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFinishedJobProgress: once a run-shaped job is done, its status
+// progress is the final machine position — the cycle count and
+// retirement count its report records — not the position of the last
+// checkpoint (or zero when the run never reached one). A default-engine
+// report names the engine that ran it.
+func TestFinishedJobProgress(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	specs := []Spec{
+		{Kind: KindSimulate, Design: "base", Workload: "fib"},
+		{Kind: KindSimulate, Design: "all", Workload: "fib", CheckpointEvery: 500},
+		{Kind: KindChaos, Design: "all", Workload: "fib", Seed: 7},
+		{Kind: KindCosim, Design: "base", Workload: "fib"},
+	}
+	for _, sp := range specs {
+		st, err := c.Submit(sp)
+		if err != nil {
+			t.Fatalf("submit %s: %v", sp.Kind, err)
+		}
+		waitState(t, c, st.ID, StateDone)
+		st, err = c.Status(st.ID)
+		if err != nil {
+			t.Fatalf("status %s: %v", st.ID, err)
+		}
+		rep := fetchReport(t, c, st.ID)
+		if rep.Cycles == 0 {
+			t.Fatalf("%s report has no cycles: %+v", sp.Kind, rep)
+		}
+		if st.Progress.Cycle != rep.Cycles || st.Progress.Retired != rep.Retired {
+			t.Errorf("%s job %s: status progress {cycle: %d, retired: %d}, report {cycles: %d, retired: %d}",
+				sp.Kind, st.ID, st.Progress.Cycle, st.Progress.Retired, rep.Cycles, rep.Retired)
+		}
+		if rep.Engine != "vm" {
+			t.Errorf("%s job %s: default-engine report says engine %q, want vm", sp.Kind, st.ID, rep.Engine)
+		}
+	}
+}
+
 // TestCompileCacheSweep pins the tentpole cache guarantee: a 100-run
 // sweep of one design performs front-end compilation exactly once,
 // observable through the /metrics cache counters.
@@ -343,7 +380,7 @@ func TestSubmitRejections(t *testing.T) {
 		{Kind: KindSimulate, Design: "base"},
 		{Kind: KindSimulate, Design: "base", Workload: "fib", Asm: "ebreak"},
 		{Kind: KindSimulate, Design: "base", Workload: "warp"},
-		{Kind: KindCosim, Design: "base", Workload: "fib", Engine: "vm"},
+		{Kind: KindSimulate, Design: "base", Workload: "fib", Engine: "closure"},
 		{Kind: KindCompile, Design: "base", Source: "pipe cpu {}"},
 		{Kind: KindSimulate, Design: "base", Workload: "fib", Engine: "turbo"},
 		{Kind: KindBveq, Design: "base", Workload: "fib"},

@@ -599,13 +599,18 @@ func TestStorageFaultStorm(t *testing.T) {
 
 			// Clean restart: crash residue is swept, every job converges
 			// terminal, done reports still match the fault-free baseline.
+			// The stranded temps are counted while no server runs: after
+			// the restart, a re-enqueued job's in-flight write is a live
+			// temp, not residue. Recovery completes inside New, before any
+			// worker starts, so its sweep count is final when New returns.
+			stranded := globTemps(t, dir)
 			s2, err := New(Config{StateDir: dir, Workers: 2, Logf: t.Logf})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s2.Close()
-			if temps := globTemps(t, dir); len(temps) != 0 {
-				t.Errorf("temp files survived the clean restart: %v", temps)
+			if got := s2.Metrics().Get("xpdld_temps_swept_total"); got != uint64(len(stranded)) {
+				t.Errorf("clean restart swept %d temp files, want all %d stranded: %v", got, len(stranded), stranded)
 			}
 			for i, id := range ids {
 				deadline := time.Now().Add(2 * time.Minute)

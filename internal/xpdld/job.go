@@ -121,8 +121,8 @@ type Spec struct {
 	// inline RV32IM assembly instead. Exactly one for run-shaped kinds.
 	Workload string `json:"workload,omitempty"`
 	Asm      string `json:"asm,omitempty"`
-	// Engine selects the executor (interp|closure|vm). Empty picks the
-	// kind's default: closure for simulate/chaos/cosim, vm for bveq.
+	// Engine selects the executor (interp|vm). Empty picks the default,
+	// vm, for every kind; a report names the engine that ran it.
 	Engine string `json:"engine,omitempty"`
 	// Seed drives the deterministic fault injector (chaos jobs) or the
 	// optional chaos layer of a cosim job (0 = no injection for cosim).
@@ -224,10 +224,6 @@ func (sp *Spec) normalize(defaults Config) *JobError {
 	case KindChaos:
 		if sp.Seed == 0 {
 			sp.Seed = 1
-		}
-	case KindCosim:
-		if sp.Engine == "vm" {
-			return specErr("cosim drives the closure or interp executor")
 		}
 	case KindBveq:
 		if sp.BveqLen <= 0 {

@@ -213,10 +213,14 @@ func New(cfg Config) (*Server, error) {
 // kills the daemon every time) and is quarantined instead of being
 // retried forever. Stranded temp files from interrupted writes are
 // swept first — they are never read, so this is hygiene, not safety.
+// The sweep count is exported even when zero, and it is final before
+// New starts any worker.
 func (s *Server) recover() error {
-	if n, err := s.store.SweepTemps(); err == nil && n > 0 {
+	if n, err := s.store.SweepTemps(); err == nil {
 		s.metrics.Add("xpdld_temps_swept_total", uint64(n))
-		s.cfg.Logf("xpdld: recovery swept %d stranded temp file(s)", n)
+		if n > 0 {
+			s.cfg.Logf("xpdld: recovery swept %d stranded temp file(s)", n)
+		}
 	}
 	ids, err := s.store.Jobs()
 	if err != nil {
@@ -554,6 +558,13 @@ func (s *Server) exec(j *job) {
 	default:
 		j.state = StateDone
 		j.jerr = nil
+		if r := out.report; r != nil && r.Cycles > 0 {
+			// Final progress: checkpoints only publish the position at
+			// their boundaries, so a finished run's last position is
+			// the one its report records.
+			j.progress.Cycle = r.Cycles
+			j.progress.Retired = r.Retired
+		}
 		s.metrics.Inc("xpdld_jobs_done_total")
 	}
 	st = j.statusLocked()

@@ -198,12 +198,21 @@ func tortureStorm(t *testing.T, bin string, seed uint64, kills int, specs []Spec
 
 	// Final restart with faults OFF: recovery sweeps every stranded
 	// temp, adopts no torn state, and the store serves the same
-	// reports.
+	// reports. The temps are counted while no daemon runs (once it is
+	// up, a re-run job's in-flight write is a live temp); recovery
+	// finishes before the daemon listens, so /metrics reports its
+	// final sweep count.
+	stranded := globTemps(t, state)
 	d = startDaemon(t, bin, state, 4)
 	alive = true
 	c = NewClient(d.addr)
-	if temps := globTemps(t, state); len(temps) != 0 {
-		t.Errorf("seed %d: temp files survived the clean restart: %v", seed, temps)
+	text, err := c.Metrics()
+	if err != nil {
+		t.Fatalf("seed %d: metrics after clean restart: %v", seed, err)
+	}
+	if got := metricValue(t, text, "xpdld_temps_swept_total"); got != uint64(len(stranded)) {
+		t.Errorf("seed %d: clean restart swept %d temp files, want all %d stranded: %v",
+			seed, got, len(stranded), stranded)
 	}
 	for i, id := range ids {
 		st, err := c.Wait(ctx, id)
