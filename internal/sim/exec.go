@@ -6,140 +6,31 @@ import (
 	"xpdl/internal/locks"
 	"xpdl/internal/pdl/ast"
 	"xpdl/internal/val"
+	"xpdl/internal/vm"
 )
 
-// firing is the atomic attempt to execute one stage for one instruction.
-// Lock operations run inside lock transactions; everything else is
-// buffered until the attempt succeeds. The machine owns a single firing
-// record (Machine.fr) that is reset per attempt, so the hot path never
-// allocates one. It also identifies the stage and instruction being
-// fired for panic attribution (see Machine.Step), on both engines.
+// firing is the AST interpreter's state for one attempt to execute a
+// stage. It embeds the machine's vm.Env, so the interpreter records
+// exactly what the vm's dispatch loop would — the effect log, spawn
+// arguments and counts, and the outcome flags — for fire to commit the
+// same way on both engines. The machine owns a single firing record
+// (Machine.fr), reset per attempt; its node and in also identify the
+// stage and instruction being fired for panic attribution (see
+// Machine.Step), on both engines.
 type firing struct {
+	*vm.Env
 	m    *Machine
 	node *stageNode
 	in   *inst
 
-	stalled bool
-	died    bool
-
-	// Combinational (=) and latched (<-) writes live in the machine's
-	// epoch-stamped slot scratch; see firingScratch.
-	wroteAny bool
-
-	lef   bool
-	eargs []val.Value
-
-	funcEnv []map[string]V // interpreter-only: scoped in-language function envs
-}
-
-// outcome is what executing one stage's statements produced, on either
-// engine; fire applies it.
-type outcome struct {
-	stalled, died, wroteAny bool
-	exc                     bool // the fork stage took the exception chain
-	lef                     bool
-	eargs                   []val.Value
-}
-
-// effKind discriminates buffered machine-level effects. Effects are
-// typed records in a reusable arena (Machine.effBuf) rather than
-// closures, so buffering them allocates nothing.
-type effKind uint8
-
-const (
-	effVolWrite effKind = iota
-	effSetGEF
-	effPipeClear
-	effSpecClear
-	effVerify
-	effInvalidate
-	effSpecResolve
-	effRemoveInst
-	effReturn
-	effSpawn
-	effSpecSpawn
-)
-
-type effectRec struct {
-	kind      effKind
-	flag      bool         // effSetGEF value; effSpawn blocking
-	vol       *volatileReg // effVolWrite target
-	ps        *pipeState   // pipe whose gef/specTab/entryQ is affected
-	in        *inst        // self (pipeClear), victim (removeInst), spawner, resolvee
-	v         val.Value    // effVolWrite payload
-	vv        V            // effReturn payload
-	h         uint64       // speculation handle
-	argOff    int          // effSpawn/effSpecSpawn: offset into Machine.spawnArena
-	argN      int
-	callerIID uint64
-	resultVar string
-}
-
-func (f *firing) eff(e effectRec) { f.m.effBuf = append(f.m.effBuf, e) }
-
-// applyEffects commits the buffered machine-level effects in program
-// order; called only after every lock transaction committed.
-func (m *Machine) applyEffects() {
-	for i := 0; i < len(m.effBuf); i++ {
-		e := &m.effBuf[i]
-		switch e.kind {
-		case effVolWrite:
-			m.volVals[e.vol.idx] = e.v
-		case effSetGEF:
-			m.gefs[e.ps.idx] = e.flag
-		case effPipeClear:
-			m.pipeClear(e.ps, e.in)
-		case effSpecClear:
-			e.ps.specTab.clear()
-		case effVerify:
-			if e.ps.specTab.entries[e.h] == specPending {
-				e.ps.specTab.entries[e.h] = specVerified
-			}
-		case effInvalidate:
-			e.ps.specTab.entries[e.h] = specInvalid
-			for _, other := range m.snapshotAlive() {
-				if other.spec && other.specHandle == e.h {
-					m.squash(other.iid)
-				}
-			}
-		case effSpecResolve:
-			e.in.spec = false
-			delete(e.ps.specTab.entries, e.in.specHandle)
-		case effRemoveInst:
-			m.removeInst(e.in)
-		case effReturn:
-			caller, alive := m.alive[e.callerIID]
-			if !alive {
-				continue // caller was squashed or flushed; result is dropped
-			}
-			if e.resultVar != "" {
-				if slot, ok := caller.pipe.slotOf[e.resultVar]; ok {
-					caller.vars[slot] = slotVal{V: e.vv, OK: true}
-				}
-			}
-			caller.waiting = nil
-		case effSpawn:
-			args := m.spawnArena[e.argOff : e.argOff+e.argN]
-			if e.flag { // blocking cross-pipe call
-				m.enqueue(e.ps, args, e.in.iid, false, 0, e.in.iid, e.resultVar)
-				if e.resultVar != "" {
-					e.in.waiting = &pendingCall{resultVar: e.resultVar, subPipe: e.ps.name}
-				}
-			} else {
-				m.enqueue(e.ps, args, e.in.iid, false, 0, 0, "")
-			}
-		case effSpecSpawn:
-			e.ps.specTab.entries[e.h] = specPending
-			m.enqueue(e.ps, m.spawnArena[e.argOff:e.argOff+e.argN], e.in.iid, true, e.h, 0, "")
-		}
-	}
+	funcEnv []map[string]V // scoped in-language function envs
 }
 
 // fire attempts to execute node's instruction for this cycle. It reports
 // whether the pipeline made progress (the stage fired or the instruction
-// died). The firing protocol — preconditions, write-back, effects,
-// destination choice — is the same for both engines; they differ only
-// in how a stage's statements execute (execInterp, execVM).
+// died). The firing protocol — preconditions, lock transactions,
+// write-back, effects, destination choice — is the same for both
+// engines; they differ only in how a stage's statements execute.
 func (m *Machine) fire(node *stageNode) bool {
 	in := node.cur
 	if in.waiting != nil {
@@ -161,19 +52,66 @@ func (m *Machine) fire(node *stageNode) bool {
 
 	m.fr.node, m.fr.in = node, in // panic attribution (see Machine.Step)
 	m.scratch.epoch++
-	var o outcome
-	if m.engine == engVM {
-		o = m.execVM(node, in)
-	} else {
-		o = m.execInterp(node, in)
+	e := &m.env
+	e.Epoch = m.scratch.epoch
+	e.Vars = in.vars
+	e.Zero = node.pipe.zeroes
+	e.EArgs = in.eargs
+	e.IID = in.iid
+	e.Cycle = m.cycle
+	e.PipeIdx = node.pipe.idx
+	e.Lef = in.lef
+	e.Spec = in.spec
+	if in.spec {
+		e.SpecStatus = uint8(node.pipe.specTab.status(in.specHandle))
 	}
-	if o.stalled {
+	e.Stalled, e.Died, e.WroteAny = false, false, false
+	e.Effects = e.Effects[:0]
+	e.SpawnArgs = e.SpawnArgs[:0]
+	e.ExtArgs = e.ExtArgs[:0]
+	for _, i := range e.SpawnDirty {
+		e.SpawnCnt[i] = 0
+	}
+	e.SpawnDirty = e.SpawnDirty[:0]
+
+	// The interpreter always runs inside lock transactions. The vm skips
+	// them for stages whose analysis proved no execution can stall at or
+	// after a lock mutation (StageProg.NeedsTxn): a successful firing
+	// applies the same mutations either way, and a stalling one has
+	// nothing to roll back.
+	txn := true
+	var sp *vm.StageProg
+	if m.vmProg != nil {
+		sp = &m.vmProg.Stages[node.gid]
+		txn = sp.NeedsTxn || (m.faults != nil && sp.NeedsTxnFaults)
+	}
+	if txn {
+		for _, l := range m.memList {
+			l.Begin()
+		}
+	}
+	if sp != nil {
+		e.Exec(m.vmProg, sp)
+	} else {
+		m.fr.run(node)
+	}
+	if e.Stalled {
+		if txn {
+			for _, l := range m.memList {
+				l.Rollback()
+			}
+		}
 		return false
+	}
+	if txn {
+		for _, l := range m.memList {
+			l.Commit()
+		}
 	}
 
 	// Apply buffered state: combinational then latched variable writes,
 	// exception flags, then machine-level effects in program order.
-	if o.wroteAny {
+	if e.WroteAny {
 		sc := &m.scratch
 		for slot := range in.vars {
 			if sc.localEpoch[slot] == sc.epoch {
@@ -184,16 +122,12 @@ func (m *Machine) fire(node *stageNode) bool {
 			}
 		}
 	}
-	in.lef = o.lef
-	in.eargs = o.eargs
-	if m.engine == engVM {
-		m.applyVMEffects(in, &m.vmEnv)
-	} else {
-		m.applyEffects()
-	}
+	in.lef = e.Lef
+	in.eargs = e.EArgs
+	m.applyEffects(in)
 	m.firings++
 
-	if o.died {
+	if e.Died {
 		if node.cur == in {
 			node.cur = nil
 		}
@@ -209,7 +143,7 @@ func (m *Machine) fire(node *stageNode) bool {
 	dest := node.next
 	if node.fork != nil {
 		dest = node.fork.commitNext
-		if o.exc {
+		if e.TookExc {
 			dest = node.fork.excNext
 		}
 	}
@@ -225,53 +159,31 @@ func (m *Machine) fire(node *stageNode) bool {
 	return true
 }
 
-// execInterp runs a stage on the AST interpreter inside one lock
-// transaction, buffering machine-level effects in Machine.effBuf.
-func (m *Machine) execInterp(node *stageNode, in *inst) outcome {
-	f := &m.fr
-	f.stalled, f.died, f.wroteAny = false, false, false
-	f.lef, f.eargs = in.lef, in.eargs
+// run executes a stage on the AST interpreter, like vm.Env.Exec: the
+// main statements, then the fork arm the lef flag selects.
+func (f *firing) run(node *stageNode) {
 	f.funcEnv = f.funcEnv[:0]
-	m.effBuf = m.effBuf[:0]
-	m.spawnArena = m.spawnArena[:0]
-	for _, i := range m.spawnDirty {
-		m.spawnCnt[i] = 0
-	}
-	m.spawnDirty = m.spawnDirty[:0]
-
-	for _, l := range m.memList {
-		l.Begin()
-	}
 	f.exec(node.stmts)
-	exc := false
-	if fork := node.fork; fork != nil && !f.stalled && !f.died {
-		exc = f.lef
-		if exc {
+	if fork := node.fork; fork != nil && !f.Stalled && !f.Died {
+		f.TookExc = f.Lef
+		if f.Lef {
 			f.exec(fork.excStage0)
 		} else {
 			f.exec(fork.commitStage0)
 		}
 	}
-	if f.stalled {
-		for _, l := range m.memList {
-			l.Rollback()
-		}
-		return outcome{stalled: true}
-	}
-	for _, l := range m.memList {
-		l.Commit()
-	}
-	return outcome{died: f.died, wroteAny: f.wroteAny, exc: exc, lef: f.lef, eargs: f.eargs}
 }
 
-func (f *firing) stall() { f.stalled = true }
+func (f *firing) stall() { f.Stalled = true }
+
+func (f *firing) eff(e vm.Effect) { f.Effects = append(f.Effects, e) }
 
 // setLocal records a combinational (=) write, visible immediately.
 func (f *firing) setLocal(slot int, v V) {
 	sc := &f.m.scratch
 	sc.local[slot] = v
 	sc.localEpoch[slot] = sc.epoch
-	f.wroteAny = true
+	f.WroteAny = true
 }
 
 // setPend records a latched (<-) write, visible from the next stage.
@@ -279,7 +191,7 @@ func (f *firing) setPend(slot int, v V) {
 	sc := &f.m.scratch
 	sc.pend[slot] = v
 	sc.pendEpoch[slot] = sc.epoch
-	f.wroteAny = true
+	f.WroteAny = true
 }
 
 // getLocal reads back a combinational write from this firing.
@@ -291,16 +203,13 @@ func (f *firing) getLocal(slot int) (V, bool) {
 	return V{}, false
 }
 
-// spawnCountIdx / addSpawnIdx track per-firing spawns by pipe index so
-// entry-queue capacity checks see this firing's own buffered spawns.
-func (f *firing) spawnCountIdx(idx int) int { return f.m.spawnCnt[idx] }
-
-func (f *firing) addSpawnIdx(idx int) {
-	m := f.m
-	if m.spawnCnt[idx] == 0 {
-		m.spawnDirty = append(m.spawnDirty, idx)
+// addSpawn counts a spawn into pipe idx, so entry-queue capacity checks
+// see this firing's own buffered spawns.
+func (f *firing) addSpawn(idx int) {
+	if f.SpawnCnt[idx] == 0 {
+		f.SpawnDirty = append(f.SpawnDirty, idx)
 	}
-	m.spawnCnt[idx]++
+	f.SpawnCnt[idx]++
 }
 
 // ---------------------------------------------------------------------------
@@ -310,7 +219,7 @@ func (f *firing) addSpawnIdx(idx int) {
 
 func (f *firing) exec(stmts []ast.Stmt) {
 	for _, s := range stmts {
-		if f.stalled || f.died {
+		if f.Stalled || f.Died {
 			return
 		}
 		f.stmt(s)
@@ -320,50 +229,43 @@ func (f *firing) exec(stmts []ast.Stmt) {
 func (f *firing) stmt(s ast.Stmt) {
 	m := f.m
 	in := f.in
+	pipe := int32(f.PipeIdx)
 	switch n := s.(type) {
 	case *ast.Skip:
 	case *ast.GefGuard:
-		if m.gefs[f.node.pipe.idx] {
+		if m.gefs[pipe] {
 			f.stall()
 			return
 		}
 		f.exec(n.Body)
 	case *ast.Assign:
-		if vol, isVol := m.assignVol[s]; isVol {
-			v := f.evalScalar(n.RHS, vol.decl.Elem.Width)
-			if f.stalled {
-				return
-			}
-			f.eff(effectRec{kind: effVolWrite, vol: vol, v: v})
+		t := m.res.Targets[s]
+		if t.Vol >= 0 {
+			f.volWrite(t, n.RHS)
 			return
 		}
 		v := f.eval(n.RHS)
-		if f.stalled {
+		if f.Stalled {
 			return
 		}
 		if n.Latched {
-			f.setPend(m.assignSlot[s], v)
+			f.setPend(t.Slot, v)
 		} else {
-			f.setLocal(m.assignSlot[s], v)
+			f.setLocal(t.Slot, v)
 		}
 	case *ast.MemWrite:
-		b := m.memWBind[s]
-		addr := f.evalAddr(n.Index, b.decl)
-		v := f.evalScalar(n.RHS, b.decl.Elem.Width)
-		if f.stalled {
+		ref := m.res.MemOps[s]
+		addr := f.evalAddr(n.Index, ref.Depth)
+		v := f.evalScalar(n.RHS, ref.Width)
+		if f.Stalled {
 			return
 		}
-		b.lock.Write(in.iid, addr, v)
+		m.memList[ref.Lock].Write(in.iid, addr, v)
 	case *ast.VolWrite:
-		vol := m.vols[n.Vol]
-		v := f.evalScalar(n.RHS, vol.decl.Elem.Width)
-		if f.stalled {
-			return
-		}
-		f.eff(effectRec{kind: effVolWrite, vol: vol, v: v})
+		f.volWrite(m.res.Targets[s], n.RHS)
 	case *ast.If:
 		c := f.eval(n.Cond)
-		if f.stalled {
+		if f.Stalled {
 			return
 		}
 		if c.Val.IsTrue() {
@@ -374,63 +276,55 @@ func (f *firing) stmt(s ast.Stmt) {
 	case *ast.Lock:
 		f.lockOp(n)
 	case *ast.SetLEF:
-		f.lef = true
+		f.Lef = true
 	case *ast.SetEArg:
 		tr := f.node.pipe.res
 		width := tr.EArgs[n.Index].Type.BitWidth()
 		v := f.evalScalar(n.Value, width)
-		if f.stalled {
+		if f.Stalled {
 			return
 		}
 		f.storeEArg(n.Index, v)
 	case *ast.SetGEF:
-		f.eff(effectRec{kind: effSetGEF, ps: f.node.pipe, flag: n.Value})
+		f.eff(vm.Effect{Kind: vm.EffSetGEF, A: pipe, Flag: n.Value})
 	case *ast.PipeClear:
-		f.eff(effectRec{kind: effPipeClear, ps: f.node.pipe, in: in})
+		f.eff(vm.Effect{Kind: vm.EffPipeClear, A: pipe})
 	case *ast.SpecClear:
-		f.eff(effectRec{kind: effSpecClear, ps: f.node.pipe})
+		f.eff(vm.Effect{Kind: vm.EffSpecClear, A: pipe})
 	case *ast.Abort:
-		m.memWBind[s].lock.Abort()
+		m.memList[m.res.MemOps[s].Lock].Abort()
 	case *ast.Call:
 		f.call(n)
 	case *ast.SpecCall:
 		f.specCall(n)
 	case *ast.Verify:
 		h := f.eval(n.Handle).Uint()
-		f.eff(effectRec{kind: effVerify, ps: f.node.pipe, h: h})
+		f.eff(vm.Effect{Kind: vm.EffVerify, A: pipe, H: h})
 	case *ast.Invalidate:
 		h := f.eval(n.Handle).Uint()
-		f.eff(effectRec{kind: effInvalidate, ps: f.node.pipe, h: h})
-	case *ast.SpecCheck:
+		f.eff(vm.Effect{Kind: vm.EffInvalidate, A: pipe, H: h})
+	case *ast.SpecCheck, *ast.SpecBarrier:
 		if !in.spec {
 			return
 		}
 		switch f.node.pipe.specTab.status(in.specHandle) {
 		case specPending:
-			// Still speculative; keep executing speculatively.
+			// Still speculative: a check keeps executing speculatively,
+			// a barrier waits.
+			if _, barrier := s.(*ast.SpecBarrier); barrier {
+				f.stall()
+			}
 		case specVerified:
-			f.eff(effectRec{kind: effSpecResolve, ps: f.node.pipe, in: in})
-		case specInvalid:
-			f.die()
-		}
-	case *ast.SpecBarrier:
-		if !in.spec {
-			return
-		}
-		switch f.node.pipe.specTab.status(in.specHandle) {
-		case specPending:
-			f.stall()
-		case specVerified:
-			f.eff(effectRec{kind: effSpecResolve, ps: f.node.pipe, in: in})
+			f.eff(vm.Effect{Kind: vm.EffSpecResolve, A: pipe})
 		case specInvalid:
 			f.die()
 		}
 	case *ast.Return:
 		v := f.eval(n.Value)
-		if f.stalled {
+		if f.Stalled {
 			return
 		}
-		f.eff(effectRec{kind: effReturn, callerIID: in.callerIID, resultVar: in.resultVar, vv: v})
+		f.eff(vm.Effect{Kind: vm.EffReturn, V: v})
 	case *ast.Throw:
 		panic("sim: untranslated throw reached the simulator")
 	case *ast.StageSep:
@@ -440,15 +334,24 @@ func (f *firing) stmt(s ast.Stmt) {
 	}
 }
 
+// volWrite buffers a volatile register write.
+func (f *firing) volWrite(t vm.Target, rhs ast.Expr) {
+	v := f.evalScalar(rhs, t.W)
+	if f.Stalled {
+		return
+	}
+	f.eff(vm.Effect{Kind: vm.EffVolWrite, A: int32(t.Vol), Val: v})
+}
+
 // storeEArg captures one canonicalized except argument, copy-on-write:
 // the instruction's slice is replaced only on a successful firing.
 func (f *firing) storeEArg(index int, v val.Value) {
-	for len(f.eargs) <= index {
-		f.eargs = append(f.eargs, val.Value{})
+	for len(f.EArgs) <= index {
+		f.EArgs = append(f.EArgs, val.Value{})
 	}
-	cp := append([]val.Value(nil), f.eargs...)
+	cp := append([]val.Value(nil), f.EArgs...)
 	cp[index] = v
-	f.eargs = cp
+	f.EArgs = cp
 }
 
 // die squashes the executing instruction (misspeculation kill at a
@@ -456,22 +359,19 @@ func (f *firing) storeEArg(index int, v val.Value) {
 // invalidate squashes the wrong-path instruction the moment it resolves,
 // before the victim can fire another stage — these arms are defensive:
 // they would matter under deferred squashing, where victims self-
-// terminate at their next check point. The removal effect squashes the
-// instruction's lock reservations wholesale, covering anything staged
-// earlier in this firing.
-func (f *firing) die() {
-	f.died = true
-	f.eff(effectRec{kind: effRemoveInst, in: f.in})
-}
+// terminate at their next check point. The removal (applyEffects, after
+// the log) squashes the instruction's lock reservations wholesale,
+// covering anything staged earlier in this firing.
+func (f *firing) die() { f.Died = true }
 
 func (f *firing) lockOp(n *ast.Lock) {
 	in := f.in
-	b := f.m.memWBind[ast.Stmt(n)]
-	l := b.lock
+	ref := f.m.res.MemOps[n]
+	l := f.m.memList[ref.Lock]
 	addr := locks.Whole
 	if n.Index != nil {
-		addr = f.evalAddr(n.Index, b.decl)
-		if f.stalled {
+		addr = f.evalAddr(n.Index, ref.Depth)
+		if f.Stalled {
 			return
 		}
 	}
@@ -500,47 +400,42 @@ func (f *firing) lockOp(n *ast.Lock) {
 	}
 }
 
-func (f *firing) call(n *ast.Call) {
-	m := f.m
-	in := f.in
-	target := m.pipes[n.Pipe]
-	if len(target.entryQ)+f.spawnCountIdx(target.idx) >= m.cfg.EntryCap {
+// spawnArgs checks target's entry-queue capacity and evaluates the
+// spawn arguments onto the spawn-argument arena, returning their offset;
+// ok is false when the firing stalled.
+func (f *firing) spawnArgs(target *pipeState, args []ast.Expr) (off int32, ok bool) {
+	if len(target.entryQ)+f.SpawnCnt[target.idx] >= f.m.cfg.EntryCap {
 		f.stall()
-		return
+		return 0, false
 	}
-	argOff := len(m.spawnArena)
-	for i, a := range n.Args {
+	off = int32(len(f.SpawnArgs))
+	for i, a := range args {
 		v := f.evalScalar(a, target.decl.Params[i].Type.BitWidth())
-		if f.stalled {
-			return
+		if f.Stalled {
+			return 0, false
 		}
-		m.spawnArena = append(m.spawnArena, v)
+		f.SpawnArgs = append(f.SpawnArgs, v)
 	}
-	f.addSpawnIdx(target.idx)
-	if n.Pipe == in.pipe.name {
-		f.eff(effectRec{kind: effSpawn, ps: target, in: in, argOff: argOff, argN: len(n.Args)})
+	f.addSpawn(target.idx)
+	return off, true
+}
+
+func (f *firing) call(n *ast.Call) {
+	target := f.m.pipes[n.Pipe]
+	off, ok := f.spawnArgs(target, n.Args)
+	if !ok {
 		return
 	}
-	// Blocking sub-pipeline call.
-	f.eff(effectRec{kind: effSpawn, ps: target, in: in, argOff: argOff, argN: len(n.Args),
-		flag: true, resultVar: n.Result})
+	// A call into another pipe blocks on its result (Flag).
+	f.eff(vm.Effect{Kind: vm.EffSpawn, A: int32(target.idx), Flag: n.Pipe != f.in.pipe.name,
+		ArgOff: off, ArgN: int32(len(n.Args)), Str: f.m.res.Targets[n].Str})
 }
 
 func (f *firing) specCall(n *ast.SpecCall) {
-	m := f.m
-	in := f.in
 	ps := f.node.pipe
-	if len(ps.entryQ)+f.spawnCountIdx(ps.idx) >= m.cfg.EntryCap {
-		f.stall()
+	off, ok := f.spawnArgs(ps, n.Args)
+	if !ok {
 		return
-	}
-	argOff := len(m.spawnArena)
-	for i, a := range n.Args {
-		v := f.evalScalar(a, ps.decl.Params[i].Type.BitWidth())
-		if f.stalled {
-			return
-		}
-		m.spawnArena = append(m.spawnArena, v)
 	}
 	// Handle ids are consumed even if the firing later stalls; ids are
 	// plentiful and stale pending entries are unreachable. The handle
@@ -548,9 +443,8 @@ func (f *firing) specCall(n *ast.SpecCall) {
 	// run); its hardware footprint is modeled separately (ast.THandle).
 	h := ps.specTab.nextHandle
 	ps.specTab.nextHandle++
-	f.setLocal(f.m.assignSlot[ast.Stmt(n)], Scalar(val.New(h, 48)))
-	f.addSpawnIdx(ps.idx)
-	f.eff(effectRec{kind: effSpecSpawn, ps: ps, in: in, argOff: argOff, argN: len(n.Args), h: h})
+	f.setLocal(f.m.res.Targets[n].Slot, Scalar(val.New(h, 48)))
+	f.eff(vm.Effect{Kind: vm.EffSpecSpawn, A: int32(ps.idx), ArgOff: off, ArgN: int32(len(n.Args)), H: h})
 }
 
 // pipeClear implements the translated pipeclear: every instruction in the
@@ -590,23 +484,22 @@ func (m *Machine) snapshotAlive() []*inst {
 // evalScalar evaluates and resizes to width bits.
 func (f *firing) evalScalar(e ast.Expr, width int) val.Value {
 	v := f.eval(e)
-	if f.stalled {
+	if f.Stalled {
 		return val.New(0, width)
 	}
 	return val.New(v.Uint(), width)
 }
 
 // evalAddr evaluates a memory index, masking to the memory's depth.
-func (f *firing) evalAddr(e ast.Expr, md *ast.MemDecl) uint64 {
+func (f *firing) evalAddr(e ast.Expr, depth uint64) uint64 {
 	v := f.eval(e)
-	if f.stalled {
+	if f.Stalled {
 		return 0
 	}
-	return v.Uint() % uint64(md.Depth)
+	return v.Uint() % depth
 }
 
 func (f *firing) eval(e ast.Expr) V {
-	m := f.m
 	switch n := e.(type) {
 	case *ast.IntLit:
 		w := n.Width
@@ -619,17 +512,17 @@ func (f *firing) eval(e ast.Expr) V {
 	case *ast.Ident:
 		return f.lookup(n)
 	case *ast.EArgRef:
-		if n.Index < len(f.eargs) {
-			return Scalar(f.eargs[n.Index])
+		if n.Index < len(f.EArgs) {
+			return Scalar(f.EArgs[n.Index])
 		}
 		return Scalar(val.New(0, 1))
 	case *ast.LefRef:
-		return Scalar(val.Bool(f.lef))
+		return Scalar(val.Bool(f.Lef))
 	case *ast.GefRef:
-		return Scalar(val.Bool(f.m.gefs[f.node.pipe.idx]))
+		return Scalar(val.Bool(f.m.gefs[f.PipeIdx]))
 	case *ast.Unary:
 		x := f.eval(n.X)
-		if f.stalled {
+		if f.Stalled {
 			return x
 		}
 		switch n.Op {
@@ -644,7 +537,7 @@ func (f *firing) eval(e ast.Expr) V {
 		return f.evalBinary(n)
 	case *ast.Ternary:
 		c := f.eval(n.Cond)
-		if f.stalled {
+		if f.Stalled {
 			return c
 		}
 		if c.Val.IsTrue() {
@@ -659,19 +552,19 @@ func (f *firing) eval(e ast.Expr) V {
 		x := f.eval(n.X)
 		hi := int(f.eval(n.Hi).Uint())
 		lo := int(f.eval(n.Lo).Uint())
-		if f.stalled {
+		if f.Stalled {
 			return x
 		}
 		return Scalar(x.Val.Slice(hi, lo))
 	case *ast.FieldAccess:
 		x := f.eval(n.X)
-		if f.stalled {
+		if f.Stalled {
 			return x
 		}
 		if x.Rec == nil {
 			panic(fmt.Sprintf("sim: field access .%s on scalar", n.Field))
 		}
-		if idx, ok := f.m.fieldIdx[n]; ok && idx >= 0 &&
+		if idx, ok := f.m.res.Fields[n]; ok && idx >= 0 &&
 			idx < len(x.Rec.Names) && x.Rec.Names[idx] == n.Field {
 			return Scalar(x.Rec.Vals[idx])
 		}
@@ -681,7 +574,6 @@ func (f *firing) eval(e ast.Expr) V {
 		}
 		return Scalar(fv)
 	}
-	_ = m
 	panic(fmt.Sprintf("sim: unhandled expression %T", e))
 }
 
@@ -694,64 +586,47 @@ func (f *firing) lookup(n *ast.Ident) V {
 		if v, ok := env[n.Name]; ok {
 			return v
 		}
-		if c, ok := f.m.consts[n.Name]; ok {
+		if c, ok := f.m.res.Consts[n.Name]; ok {
 			return c
 		}
 		panic(fmt.Sprintf("sim: function references unknown name %q", n.Name))
 	}
-	b, ok := f.m.identBind[n]
+	b, ok := f.m.res.Idents[n]
 	if !ok {
 		panic(fmt.Sprintf("sim: unresolved name %q in pipe %s", n.Name, f.in.pipe.name))
 	}
-	switch b.kind {
+	switch b.Kind {
 	case 1:
-		return b.con
+		return b.Con
 	case 2:
-		return Scalar(f.m.volVals[b.vol.idx])
+		return Scalar(f.m.volVals[b.Vol])
 	}
-	if v, ok := f.getLocal(b.slot); ok {
+	if v, ok := f.getLocal(b.Slot); ok {
 		return v
 	}
-	if sv := f.in.vars[b.slot]; sv.OK {
+	if sv := f.in.vars[b.Slot]; sv.OK {
 		return sv.V
 	}
 	// A variable defined only on an untaken conditional path reads as a
 	// zero of its checked type (hardware: an undriven mux input).
-	return f.in.pipe.zeroes[b.slot]
-}
-
-// isUnsized reports whether an expression is an unsized literal (or a
-// composition of them), whose runtime width adapts to its context.
-func (m *Machine) isUnsized(e ast.Expr) bool {
-	switch n := e.(type) {
-	case *ast.IntLit:
-		return n.Width == 0
-	case *ast.Ident:
-		c, ok := m.info.Consts[n.Name]
-		return ok && !c.IsBool && c.Width == 0
-	case *ast.Unary:
-		return m.isUnsized(n.X)
-	case *ast.Binary:
-		return m.isUnsized(n.L) && m.isUnsized(n.R)
-	}
-	return false
+	return f.in.pipe.zeroes[b.Slot]
 }
 
 func (f *firing) evalBinary(n *ast.Binary) V {
 	l := f.eval(n.L)
-	if f.stalled {
+	if f.Stalled {
 		return l
 	}
 	r := f.eval(n.R)
-	if f.stalled {
+	if f.Stalled {
 		return r
 	}
 	lv, rv := l.Val, r.Val
 	if lv.Width() != rv.Width() && n.Op != ast.OpShl && n.Op != ast.OpShr {
 		switch {
-		case f.m.isUnsized(n.L):
+		case f.m.res.IsUnsized(n.L):
 			lv = val.New(lv.Uint(), rv.Width())
-		case f.m.isUnsized(n.R):
+		case f.m.res.IsUnsized(n.R):
 			rv = val.New(rv.Uint(), lv.Width())
 		}
 	}
@@ -807,14 +682,14 @@ func (f *firing) evalCall(n *ast.CallExpr) V {
 	case "ext":
 		x := f.eval(n.Args[0])
 		w := int(f.eval(n.Args[1]).Uint())
-		if f.stalled {
+		if f.Stalled {
 			return x
 		}
 		return Scalar(x.Val.ZeroExt(w))
 	case "sext":
 		x := f.eval(n.Args[0])
 		w := int(f.eval(n.Args[1]).Uint())
-		if f.stalled {
+		if f.Stalled {
 			return x
 		}
 		return Scalar(x.Val.SignExt(w))
@@ -822,7 +697,7 @@ func (f *firing) evalCall(n *ast.CallExpr) V {
 		parts := make([]val.Value, len(n.Args))
 		for i, a := range n.Args {
 			parts[i] = f.eval(a).Val
-			if f.stalled {
+			if f.Stalled {
 				return Scalar(parts[i])
 			}
 		}
@@ -830,7 +705,7 @@ func (f *firing) evalCall(n *ast.CallExpr) V {
 	case "lts", "les", "gts", "ges":
 		a := f.eval(n.Args[0])
 		b := f.eval(n.Args[1])
-		if f.stalled {
+		if f.Stalled {
 			return a
 		}
 		av, bv := a.Val, b.Val
@@ -847,48 +722,47 @@ func (f *firing) evalCall(n *ast.CallExpr) V {
 	case "shra":
 		a := f.eval(n.Args[0])
 		b := f.eval(n.Args[1])
-		if f.stalled {
+		if f.Stalled {
 			return a
 		}
 		return Scalar(a.Val.ShrS(b.Val))
 	case "divs":
 		a := f.eval(n.Args[0])
 		b := f.eval(n.Args[1])
-		if f.stalled {
+		if f.Stalled {
 			return a
 		}
 		return Scalar(a.Val.DivS(b.Val))
 	case "rems":
 		a := f.eval(n.Args[0])
 		b := f.eval(n.Args[1])
-		if f.stalled {
+		if f.Stalled {
 			return a
 		}
 		return Scalar(a.Val.RemS(b.Val))
 	case "mulfull":
 		a := f.eval(n.Args[0])
 		b := f.eval(n.Args[1])
-		if f.stalled {
+		if f.Stalled {
 			return a
 		}
 		return Scalar(a.Val.MulFull(b.Val))
 	}
 
 	// Extern.
-	if ext, ok := f.m.externs[n.Name]; ok {
-		if f.m.faults != nil && f.m.faults.DelayExtern(f.m.cycle, f.in.iid, siteKey(n.Name)) {
+	if ref, ok := f.m.res.Externs[n.Name]; ok {
+		if f.m.faults != nil && f.m.faults.DelayExtern(f.m.cycle, f.in.iid, ref.Site) {
 			f.stall()
 			return Scalar(val.New(0, 1))
 		}
-		decl := externDecl(f.m, n.Name)
 		args := make([]val.Value, len(n.Args))
 		for i, a := range n.Args {
-			args[i] = f.evalScalar(a, decl.Params[i].Type.BitWidth())
-			if f.stalled {
+			args[i] = f.evalScalar(a, ref.ParamW[i])
+			if f.Stalled {
 				return Scalar(args[i])
 			}
 		}
-		return ext(args)
+		return f.Externs[ref.Idx](args)
 	}
 
 	// In-language function.
@@ -899,21 +773,12 @@ func (f *firing) evalCall(n *ast.CallExpr) V {
 	args := make([]V, len(n.Args))
 	for i, a := range n.Args {
 		v := f.eval(a)
-		if f.stalled {
+		if f.Stalled {
 			return v
 		}
 		args[i] = Scalar(val.New(v.Uint(), fn.Params[i].Type.BitWidth()))
 	}
 	return f.callFunc(fn, args)
-}
-
-func externDecl(m *Machine, name string) *ast.ExternDecl {
-	for _, e := range m.info.Prog.Externs {
-		if e.Name == name {
-			return e
-		}
-	}
-	panic(fmt.Sprintf("sim: extern %q not declared", name))
 }
 
 // callFunc interprets an in-language combinational function.
@@ -960,17 +825,18 @@ func (f *firing) callFunc(fn *ast.FuncDecl, args []V) V {
 }
 
 func (f *firing) evalMemRead(n *ast.MemRead) V {
-	b := f.m.memBind[n]
-	addr := f.evalAddr(n.Index, b.decl)
-	if f.stalled {
-		return Scalar(val.New(0, b.decl.Elem.Width))
+	ref := f.m.res.Reads[n]
+	addr := f.evalAddr(n.Index, ref.Depth)
+	if f.Stalled {
+		return Scalar(val.New(0, ref.Width))
 	}
-	if b.plain != nil {
-		return Scalar(b.plain.Peek(addr))
+	if ref.Plain >= 0 {
+		return Scalar(f.m.plainList[ref.Plain].Peek(addr))
 	}
-	if !b.lock.ReadReady(f.in.iid, addr) {
+	l := f.m.memList[ref.Lock]
+	if !l.ReadReady(f.in.iid, addr) {
 		f.stall()
-		return Scalar(val.New(0, b.decl.Elem.Width))
+		return Scalar(val.New(0, ref.Width))
 	}
-	return Scalar(b.lock.Read(f.in.iid, addr))
+	return Scalar(l.Read(f.in.iid, addr))
 }

@@ -1,47 +1,169 @@
 package sim
 
 import (
+	"reflect"
+	"runtime"
 	"sort"
+	"sync"
 
+	"xpdl/internal/check"
+	"xpdl/internal/core"
 	"xpdl/internal/pdl/ast"
 	"xpdl/internal/val"
+	"xpdl/internal/vm"
 )
 
-// buildSlots assigns every checker-recorded variable of a pipeline a
-// fixed slot, records the per-slot zero value (the typed zero an
-// undriven/untaken-path read observes), and resolves every identifier
-// and memory reference in the pipeline's code to its binding so the
-// simulator's hot path never hashes strings.
-func (m *Machine) buildSlots(ps *pipeState) {
-	if m.identBind == nil {
-		m.identBind = make(map[*ast.Ident]identBind)
-		m.memBind = make(map[*ast.MemRead]*memBinding)
-		m.memWBind = make(map[ast.Stmt]*memBinding)
-		m.assignSlot = make(map[ast.Stmt]int)
-		m.assignVol = make(map[ast.Stmt]*volatileReg)
-		m.fieldIdx = make(map[*ast.FieldAccess]int)
-	}
-	pi := m.info.Pipes[ps.name]
-	names := make([]string, 0, len(pi.Vars))
-	for name := range pi.Vars {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	ps.slotOf = make(map[string]int, len(names))
-	ps.zeroes = make([]V, len(names))
-	for i, name := range names {
-		ps.slotOf[name] = i
-		ps.zeroes[i] = zeroOfType(pi.Vars[name])
-	}
-	m.scratch.grow(len(names))
+// design is what every machine of one design shares, all immutable once
+// built: the name resolution both executors read (so the hot path never
+// hashes strings), the per-pipe variable slot layout, and — compiled for
+// the first vm machine — the bytecode Program. Every index space these
+// bake in (slots, volatiles, memories, externs, functions, pipes, stage
+// gids) is derived deterministically from declaration or sorted-name
+// order, so one record serves any number of machines (Batch lanes, sweep
+// points: N machines, one resolution and one decode).
+type design struct {
+	trs    []*core.Result // the translation the AST keys belong to, per pipe
+	res    *vm.Resolution
+	slotOf []map[string]int // per pipe: variable name → slot
+	zeroes [][]V            // per pipe: per-slot typed zero (undriven reads)
+	funcs  map[string]*ast.FuncDecl
 
-	for _, st := range ps.nodes {
-		m.resolveStmts(ps, st.stmts)
-		if st.fork != nil {
-			m.resolveStmts(ps, st.fork.commitStage0)
-			m.resolveStmts(ps, st.fork.excStage0)
+	once sync.Once
+	prog *vm.Program
+}
+
+// designCache holds the design records of every live *check.Info. The
+// key is the Info's address, which does not keep the Info reachable, and
+// a finalizer on the Info deletes the entry once the design is garbage.
+// The address cannot be reused by a new Info before that delete: the
+// finalizer keeps the Info's memory allocated until it has run. Records
+// reference the AST and translations but never the Info, so they cannot
+// keep their own key alive.
+var designCache sync.Map // uintptr (*check.Info address) → *designSet
+
+// designSet holds one record per translation map that machines of an
+// Info were built from: the resolution keys on translated AST nodes, so
+// a second core.TranslateProgram of the same Info is a different design.
+type designSet struct {
+	mu sync.Mutex
+	ds []*design
+}
+
+// sharedDesign returns the design record for info and trs, resolving it
+// on first use.
+func sharedDesign(info *check.Info, trs map[string]*core.Result) *design {
+	key := reflect.ValueOf(info).Pointer()
+	v, ok := designCache.Load(key)
+	if !ok {
+		if v, ok = designCache.LoadOrStore(key, &designSet{}); !ok {
+			runtime.SetFinalizer(info, func(*check.Info) { designCache.Delete(key) })
 		}
 	}
+	set := v.(*designSet)
+	set.mu.Lock()
+	defer set.mu.Unlock()
+next:
+	for _, d := range set.ds {
+		for i, pd := range info.Prog.Pipes {
+			if d.trs[i] != trs[pd.Name] {
+				continue next
+			}
+		}
+		return d
+	}
+	d := resolveDesign(info, trs)
+	set.ds = append(set.ds, d)
+	return d
+}
+
+// resolver walks one pipeline's translated code, binding every name.
+type resolver struct {
+	res   *vm.Resolution
+	mems  map[string]vm.MemRef
+	vols  map[string]vm.Target
+	vars  map[string]ast.Type // the pipeline's checked variables
+	slots map[string]int
+	pipe  string
+}
+
+func resolveDesign(info *check.Info, trs map[string]*core.Result) *design {
+	prog := info.Prog
+	r := &vm.Resolution{
+		Idents:  make(map[*ast.Ident]vm.IdentBind),
+		Reads:   make(map[*ast.MemRead]vm.MemRef),
+		MemOps:  make(map[ast.Stmt]vm.MemRef),
+		Targets: make(map[ast.Stmt]vm.Target),
+		Fields:  make(map[*ast.FieldAccess]int),
+		Consts:  make(map[string]V, len(info.Consts)),
+		Externs: make(map[string]vm.ExternRef, len(prog.Externs)),
+		Pipes:   make(map[string]vm.PipeRef, len(prog.Pipes)),
+		Unsized: make(map[string]bool),
+	}
+	d := &design{res: r, funcs: make(map[string]*ast.FuncDecl, len(prog.Funcs))}
+	for name, c := range info.Consts {
+		switch {
+		case c.IsBool:
+			r.Consts[name] = Scalar(val.Bool(c.Bool))
+		case c.Width == 0:
+			r.Consts[name] = Scalar(val.New(c.Value, 64))
+			r.Unsized[name] = true
+		default:
+			r.Consts[name] = Scalar(val.New(c.Value, c.Width))
+		}
+	}
+	for _, f := range prog.Funcs {
+		d.funcs[f.Name] = f
+	}
+	for i, ed := range prog.Externs {
+		r.Externs[ed.Name] = vm.ExternRef{Idx: i, ParamW: paramWidths(ed.Params), Site: siteKey(ed.Name)}
+	}
+	z := &resolver{res: r, mems: make(map[string]vm.MemRef), vols: make(map[string]vm.Target)}
+	locked, plain := 0, 0 // memList / plainList indices, declaration order
+	for _, md := range prog.Mems {
+		ref := vm.MemRef{Lock: -1, Plain: -1, Depth: uint64(md.Depth), Width: md.Elem.Width}
+		if md.Lock == ast.LockNone {
+			ref.Plain, plain = plain, plain+1
+		} else {
+			ref.Lock, locked = locked, locked+1
+		}
+		z.mems[md.Name] = ref
+	}
+	for i, vd := range prog.Vols {
+		z.vols[vd.Name] = vm.Target{Vol: i, W: vd.Elem.Width, Str: -1}
+	}
+	for i, pd := range prog.Pipes {
+		r.Pipes[pd.Name] = vm.PipeRef{Idx: i, ParamW: paramWidths(trs[pd.Name].Pipe.Params)}
+	}
+	for _, pd := range prog.Pipes {
+		// Every name the checker recorded gets a fixed slot in sorted
+		// order, with the typed zero an undriven read observes.
+		vars := info.Pipes[pd.Name].Vars
+		names := make([]string, 0, len(vars))
+		for name := range vars {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		z.slots = make(map[string]int, len(names))
+		zeroes := make([]V, len(names))
+		for i, name := range names {
+			z.slots[name] = i
+			zeroes[i] = zeroOfType(vars[name])
+		}
+		z.vars, z.pipe = vars, pd.Name
+		d.trs = append(d.trs, trs[pd.Name])
+		d.slotOf = append(d.slotOf, z.slots)
+		d.zeroes = append(d.zeroes, zeroes)
+		z.stmts(trs[pd.Name].Pipe.Body)
+	}
+	return d
+}
+
+func paramWidths(ps []ast.Param) []int {
+	w := make([]int, len(ps))
+	for i, p := range ps {
+		w[i] = p.Type.BitWidth()
+	}
+	return w
 }
 
 func zeroOfType(t ast.Type) V {
@@ -55,131 +177,135 @@ func zeroOfType(t ast.Type) V {
 	return Scalar(val.New(0, t.BitWidth()))
 }
 
-func (m *Machine) bindMem(name string) *memBinding {
-	b := &memBinding{decl: m.memDecl[name]}
-	if p, ok := m.plains[name]; ok {
-		b.plain = p
-	} else {
-		b.lock = m.mems[name]
+// intern indexes a spawn result-variable name in Resolution.Strs.
+func (z *resolver) intern(s string) int32 {
+	for i, x := range z.res.Strs {
+		if x == s {
+			return int32(i)
+		}
 	}
-	return b
+	z.res.Strs = append(z.res.Strs, s)
+	return int32(len(z.res.Strs) - 1)
 }
 
-func (m *Machine) resolveStmts(ps *pipeState, stmts []ast.Stmt) {
+func (z *resolver) stmts(stmts []ast.Stmt) {
 	for _, s := range stmts {
-		m.resolveStmt(ps, s)
+		z.stmt(s)
 	}
 }
 
-func (m *Machine) resolveStmt(ps *pipeState, s ast.Stmt) {
+func (z *resolver) stmt(s ast.Stmt) {
+	r := z.res
 	switch n := s.(type) {
 	case *ast.Assign:
-		if vol, isVol := m.vols[n.Name]; isVol {
-			m.assignVol[s] = vol
-		} else if slot, ok := ps.slotOf[n.Name]; ok {
-			m.assignSlot[s] = slot
+		t, isVol := z.vols[n.Name]
+		if !isVol {
+			t = vm.Target{Slot: z.slots[n.Name], Vol: -1, Str: -1}
 		}
-		m.resolveExpr(ps, n.RHS)
+		r.Targets[s] = t
+		z.expr(n.RHS)
 	case *ast.MemWrite:
-		if m.memDecl[n.Mem] != nil {
-			m.memWBind[s] = m.bindMem(n.Mem)
+		if ref, ok := z.mems[n.Mem]; ok {
+			r.MemOps[s] = ref
 		}
-		m.resolveExpr(ps, n.Index)
-		m.resolveExpr(ps, n.RHS)
+		z.expr(n.Index)
+		z.expr(n.RHS)
 	case *ast.VolWrite:
-		m.resolveExpr(ps, n.RHS)
+		r.Targets[s] = z.vols[n.Vol]
+		z.expr(n.RHS)
 	case *ast.If:
-		m.resolveExpr(ps, n.Cond)
-		m.resolveStmts(ps, n.Then)
-		m.resolveStmts(ps, n.Else)
+		z.expr(n.Cond)
+		z.stmts(n.Then)
+		z.stmts(n.Else)
 	case *ast.Lock:
-		m.memWBind[s] = m.bindMem(n.Mem)
+		r.MemOps[s] = z.mems[n.Mem]
 		if n.Index != nil {
-			m.resolveExpr(ps, n.Index)
+			z.expr(n.Index)
 		}
 	case *ast.Abort:
-		m.memWBind[s] = m.bindMem(n.Mem)
+		r.MemOps[s] = z.mems[n.Mem]
 	case *ast.Throw:
-		for _, a := range n.Args {
-			m.resolveExpr(ps, a)
-		}
+		z.exprs(n.Args)
 	case *ast.Call:
-		for _, a := range n.Args {
-			m.resolveExpr(ps, a)
+		t := vm.Target{Vol: -1, Str: -1}
+		if n.Pipe != z.pipe {
+			t.Str = z.intern(n.Result)
 		}
+		r.Targets[s] = t
+		z.exprs(n.Args)
 	case *ast.SpecCall:
-		if slot, ok := ps.slotOf[n.Handle]; ok {
-			m.assignSlot[s] = slot
-		}
-		for _, a := range n.Args {
-			m.resolveExpr(ps, a)
-		}
+		r.Targets[s] = vm.Target{Slot: z.slots[n.Handle], Vol: -1, Str: -1}
+		z.exprs(n.Args)
 	case *ast.Verify:
-		m.resolveExpr(ps, n.Handle)
+		z.expr(n.Handle)
 	case *ast.Invalidate:
-		m.resolveExpr(ps, n.Handle)
+		z.expr(n.Handle)
 	case *ast.Return:
-		m.resolveExpr(ps, n.Value)
+		z.expr(n.Value)
 	case *ast.SetEArg:
-		m.resolveExpr(ps, n.Value)
+		z.expr(n.Value)
 	case *ast.GefGuard:
-		m.resolveStmts(ps, n.Body)
+		z.stmts(n.Body)
 	case *ast.LefBranch:
-		m.resolveStmts(ps, n.Commit)
-		m.resolveStmts(ps, n.Except)
+		z.stmts(n.Commit)
+		z.stmts(n.Except)
 	}
 }
 
-func (m *Machine) resolveExpr(ps *pipeState, e ast.Expr) {
+func (z *resolver) exprs(es []ast.Expr) {
+	for _, e := range es {
+		z.expr(e)
+	}
+}
+
+func (z *resolver) expr(e ast.Expr) {
+	r := z.res
 	switch n := e.(type) {
 	case *ast.Ident:
-		if slot, ok := ps.slotOf[n.Name]; ok {
-			m.identBind[n] = identBind{kind: 0, slot: slot}
-		} else if c, ok := m.consts[n.Name]; ok {
-			m.identBind[n] = identBind{kind: 1, con: c}
-		} else if vol, ok := m.vols[n.Name]; ok {
-			m.identBind[n] = identBind{kind: 2, vol: vol}
+		if slot, ok := z.slots[n.Name]; ok {
+			r.Idents[n] = vm.IdentBind{Kind: 0, Slot: slot}
+		} else if c, ok := r.Consts[n.Name]; ok {
+			r.Idents[n] = vm.IdentBind{Kind: 1, Con: c}
+		} else if t, ok := z.vols[n.Name]; ok {
+			r.Idents[n] = vm.IdentBind{Kind: 2, Vol: t.Vol}
 		}
 		// Unresolvable identifiers (checker rejects them in pipelines)
-		// fall back to the slow path at evaluation time.
+		// panic when executed, on either engine.
 	case *ast.Unary:
-		m.resolveExpr(ps, n.X)
+		z.expr(n.X)
 	case *ast.Binary:
-		m.resolveExpr(ps, n.L)
-		m.resolveExpr(ps, n.R)
+		z.expr(n.L)
+		z.expr(n.R)
 	case *ast.Ternary:
-		m.resolveExpr(ps, n.Cond)
-		m.resolveExpr(ps, n.Then)
-		m.resolveExpr(ps, n.Else)
+		z.expr(n.Cond)
+		z.expr(n.Then)
+		z.expr(n.Else)
 	case *ast.CallExpr:
-		for _, a := range n.Args {
-			m.resolveExpr(ps, a)
-		}
+		z.exprs(n.Args)
 	case *ast.MemRead:
-		if m.memDecl[n.Mem] != nil {
-			m.memBind[n] = m.bindMem(n.Mem)
+		if ref, ok := z.mems[n.Mem]; ok {
+			r.Reads[n] = ref
 		}
-		m.resolveExpr(ps, n.Index)
+		z.expr(n.Index)
 	case *ast.Slice:
-		m.resolveExpr(ps, n.X)
-		m.resolveExpr(ps, n.Hi)
-		m.resolveExpr(ps, n.Lo)
+		z.expr(n.X)
+		z.expr(n.Hi)
+		z.expr(n.Lo)
 	case *ast.FieldAccess:
-		m.fieldIdx[n] = m.staticFieldIndex(ps, n)
-		m.resolveExpr(ps, n.X)
+		r.Fields[n] = z.fieldIndex(n)
+		z.expr(n.X)
 	}
 }
 
-// staticFieldIndex computes the sorted-field index of a record access
-// when the operand's checked type is known (an Ident bound to a record
-// variable); -1 otherwise, falling back to a name scan at run time.
-func (m *Machine) staticFieldIndex(ps *pipeState, n *ast.FieldAccess) int {
+// fieldIndex computes the sorted-field index of a record access when the
+// operand's checked type is known (an Ident bound to a record variable);
+// -1 otherwise, falling back to a name scan at run time.
+func (z *resolver) fieldIndex(n *ast.FieldAccess) int {
 	id, ok := n.X.(*ast.Ident)
 	if !ok {
 		return -1
 	}
-	pi := m.info.Pipes[ps.name]
-	t, ok := pi.Vars[id.Name]
+	t, ok := z.vars[id.Name]
 	if !ok || t.Kind != ast.TRecord {
 		return -1
 	}

@@ -137,12 +137,6 @@ type Config struct {
 	Observer Observer
 }
 
-// Executor engines (resolved from Config.Engine).
-const (
-	engVM uint8 = iota
-	engInterp
-)
-
 // Engines lists the valid Config.Engine values, for flag help text.
 func Engines() []string { return []string{"interp", "vm"} }
 
@@ -189,17 +183,17 @@ type Machine struct {
 	memOrder  []string     // names parallel to memList, for diagnostics
 	plains    map[string]*locks.Plain
 	plainList []*locks.Plain // declaration order (vm memory indices)
-	memDecl   map[string]*ast.MemDecl
 	vols      map[string]*volatileReg
 	// volVals is the struct-of-arrays home of every volatile register's
 	// value, in declaration order; volatileReg only carries the index.
 	volVals []val.Value
 	// gefs is the struct-of-arrays home of the per-pipe global exception
 	// flags, indexed by pipeState.idx.
-	gefs    []bool
-	consts  map[string]V
-	funcs   map[string]*ast.FuncDecl
-	externs map[string]ExternFunc
+	gefs []bool
+	// res and funcs are the design's shared name resolution and function
+	// table (see design); read-only.
+	res   *vm.Resolution
+	funcs map[string]*ast.FuncDecl
 
 	devices []func(m *Machine)
 	// deviceWakes is parallel to devices: a non-nil entry predicts the
@@ -208,31 +202,16 @@ type Machine struct {
 	deviceWakes []func(cycle int) int
 	traceW      io.Writer
 
-	// Build-time identifier resolution: every Ident node in pipeline
-	// code resolves once to a slot, a constant, or a volatile register,
-	// so the hot path avoids string hashing.
-	identBind  map[*ast.Ident]identBind
-	memBind    map[*ast.MemRead]*memBinding
-	memWBind   map[ast.Stmt]*memBinding // MemWrite / Lock / Abort nodes
-	assignSlot map[ast.Stmt]int         // Assign/SpecCall target slots
-	assignVol  map[ast.Stmt]*volatileReg
-	fieldIdx   map[*ast.FieldAccess]int // sorted-field index, -1 when unknown
-	scratch    firingScratch
+	scratch firingScratch
 
 	// Hot-path arenas, all reused across firings so the steady-state
 	// cycle loop allocates nothing: the single firing record, the
-	// interpreter's typed effect buffer, spawn argument storage and
-	// per-pipe spawn counters, the instruction free list, and the
-	// retirement-args arena.
-	fr         firing
-	effBuf     []effectRec
-	spawnArena []val.Value
-	spawnCnt   []int
-	spawnDirty []int
-	instPool   []*inst
-	retArgs    []val.Value
-	snapBuf    []*inst
-	descBuf    []*inst
+	// instruction free list, and the retirement-args arena.
+	fr       firing
+	instPool []*inst
+	retArgs  []val.Value
+	snapBuf  []*inst
+	descBuf  []*inst
 
 	cycle     int
 	nextIID   uint64
@@ -246,12 +225,13 @@ type Machine struct {
 	watchdog int           // idle-cycle limit; <= 0 disables the watchdog
 	failed   error         // sticky *InternalError after a recovered panic
 
-	// Bytecode engine state (engine == engVM): the design's shared
-	// immutable Program and this machine's dispatch environment, wired to
-	// the machine's own arenas and struct-of-arrays state (see vmexec.go).
-	engine uint8
+	// env is the one firing record both engines fill: per-firing
+	// inputs, the effect log and the outcome flags, wired to the
+	// machine's own arenas and struct-of-arrays state (see vmexec.go).
+	// vmProg is the design's shared Program on the vm engine, nil on
+	// the interp.
 	vmProg *vm.Program
-	vmEnv  vm.Env
+	env    vm.Env
 }
 
 // volatileReg is a resolved volatile register: its declaration plus its
@@ -259,21 +239,6 @@ type Machine struct {
 type volatileReg struct {
 	decl *ast.VolDecl
 	idx  int
-}
-
-// identBind is a resolved identifier.
-type identBind struct {
-	kind int8 // 0 = var slot, 1 = constant, 2 = volatile
-	slot int
-	con  V
-	vol  *volatileReg
-}
-
-// memBinding is a resolved memory reference.
-type memBinding struct {
-	decl  *ast.MemDecl
-	lock  locks.Lock   // nil for unlocked memories
-	plain *locks.Plain // nil for locked memories
 }
 
 // firingScratch is the per-machine reusable combinational/latched write
@@ -298,7 +263,7 @@ func (fs *firingScratch) grow(n int) {
 
 type pipeState struct {
 	m       *Machine
-	idx     int // position in pipeOrder; indexes Machine.spawnCnt
+	idx     int // position in pipeOrder; indexes Env.SpawnCnt
 	name    string
 	decl    *ast.PipeDecl // translated declaration
 	orig    *ast.PipeDecl // original (pre-translation) declaration
@@ -310,9 +275,9 @@ type pipeState struct {
 	entryQ  []*inst
 	specTab *specTable // gef lives in Machine.gefs[idx] (SoA)
 
-	// Variable storage layout: every name the checker recorded for this
-	// pipeline gets a fixed slot; instruction state and firing scratch
-	// are slot-indexed slices instead of string-keyed maps (hot path).
+	// Variable storage layout, shared per design: every name the checker
+	// recorded for this pipeline gets a fixed slot; instruction state and
+	// firing scratch are slot-indexed slices instead of string-keyed maps.
 	slotOf map[string]int
 	zeroes []V // per-slot zero of the checked type (undriven reads)
 }
@@ -433,35 +398,19 @@ func New(info *check.Info, trs map[string]*core.Result, cfg Config) (*Machine, e
 		pipes:   make(map[string]*pipeState),
 		mems:    make(map[string]locks.Lock),
 		plains:  make(map[string]*locks.Plain),
-		memDecl: make(map[string]*ast.MemDecl),
 		vols:    make(map[string]*volatileReg),
-		consts:  make(map[string]V),
-		funcs:   make(map[string]*ast.FuncDecl),
-		externs: cfg.Externs,
 		alive:   make(map[uint64]*inst),
 		nextIID: 1,
 	}
-	for name, c := range info.Consts {
-		w := c.Width
-		if w == 0 {
-			w = 64
+	e := &m.env
+	for _, ed := range info.Prog.Externs {
+		fn := cfg.Externs[ed.Name]
+		if fn == nil {
+			return nil, fmt.Errorf("sim: extern %q is not bound", ed.Name)
 		}
-		if c.IsBool {
-			m.consts[name] = Scalar(val.Bool(c.Bool))
-		} else {
-			m.consts[name] = Scalar(val.New(c.Value, w))
-		}
-	}
-	for _, f := range info.Prog.Funcs {
-		m.funcs[f.Name] = f
-	}
-	for _, e := range info.Prog.Externs {
-		if m.externs[e.Name] == nil {
-			return nil, fmt.Errorf("sim: extern %q is not bound", e.Name)
-		}
+		e.Externs = append(e.Externs, fn)
 	}
 	for _, md := range info.Prog.Mems {
-		m.memDecl[md.Name] = md
 		switch md.Lock {
 		case ast.LockNone:
 			m.plains[md.Name] = locks.NewPlain(md.Depth, md.Elem.Width)
@@ -514,12 +463,18 @@ func New(info *check.Info, trs map[string]*core.Result, cfg Config) (*Machine, e
 	if m.watchdog == 0 {
 		m.watchdog = defaultWatchdog
 	}
-	m.spawnCnt = make([]int, len(m.pipeOrder))
-	m.fr.m = m
-	if engName == "interp" {
-		m.engine = engInterp
-	} else {
-		m.buildVM()
+	d := sharedDesign(info, trs)
+	m.res, m.funcs = d.res, d.funcs
+	for i, ps := range m.pipeList {
+		ps.slotOf, ps.zeroes = d.slotOf[i], d.zeroes[i]
+		m.scratch.grow(len(ps.zeroes))
+	}
+	m.fr.m, m.fr.Env = m, e
+	m.initEnv()
+	if engName == "vm" {
+		d.once.Do(func() { d.prog = m.compileVMProgram(gid) })
+		m.vmProg = d.prog
+		e.Regs = make([]vm.V, m.vmProg.MaxStageRegs+64)
 	}
 	return m, nil
 }
@@ -600,7 +555,6 @@ func (m *Machine) buildPipe(orig *ast.PipeDecl, tr *core.Result) (*pipeState, er
 		n.pos = i
 	}
 
-	m.buildSlots(ps)
 	return ps, nil
 }
 

@@ -1,9 +1,9 @@
 // The AST → bytecode compiler. It mirrors internal/sim's AST
 // interpreter case for case: every opcode sequence emitted here evaluates
 // in the same order, applies the same width coercions, and panics with
-// the same messages as the corresponding interpreter case. The host
-// simulator supplies name resolution through Hooks so this package stays
-// independent of the machine's internal binding tables.
+// the same messages as the corresponding interpreter case. Names resolve
+// through the design's Resolution, the one table the interpreter reads
+// too.
 //
 // Register discipline: each stage compiles into one window. Registers
 // [0,NSlots) are pinned, one per latched variable slot; a compile-time
@@ -26,9 +26,30 @@ import (
 	"xpdl/internal/val"
 )
 
-// IdentBind is the host's resolution of an identifier in pipe context,
-// mirroring sim's identBind: Kind 0 = latched variable slot, 1 =
-// constant, 2 = volatile register.
+// Resolution binds a design's names to the index spaces of Env. The
+// host builds it once per design from the checked, translated AST; the
+// compiler lowers against it and the host's AST interpreter reads it
+// directly, so both executors resolve every name the same way. It is
+// immutable once built.
+type Resolution struct {
+	Idents map[*ast.Ident]IdentBind // pipeline identifiers
+	Reads  map[*ast.MemRead]MemRef  // pipeline memory reads
+	MemOps map[ast.Stmt]MemRef      // MemWrite, Lock and Abort statements
+	// Targets resolves what Assign, VolWrite and SpecCall statements
+	// write, and the result-variable name of Call statements.
+	Targets map[ast.Stmt]Target
+	Fields  map[*ast.FieldAccess]int // sorted-field index, -1 when unknown
+	Consts  map[string]V
+	Externs map[string]ExternRef
+	Pipes   map[string]PipeRef
+	// Strs holds the spawn result-variable names (Target.Str, Effect.Str).
+	Strs []string
+	// Unsized names the integer constants declared without a width.
+	Unsized map[string]bool
+}
+
+// IdentBind is a resolved identifier in pipe context: Kind 0 = latched
+// variable slot, 1 = constant, 2 = volatile register.
 type IdentBind struct {
 	Kind int
 	Slot int
@@ -36,8 +57,17 @@ type IdentBind struct {
 	Con  V
 }
 
-// MemRef is the host's resolution of a memory reference. Exactly one of
-// Lock (index into Env.Mems) and Plain (index into Env.Plains) is >= 0.
+// Target is a resolved statement destination: volatile register Vol of
+// width W when Vol >= 0, else latched-variable Slot. A Call's Str
+// indexes its result-variable name in Resolution.Strs (-1 for a spawn
+// into the calling pipe).
+type Target struct {
+	Slot, Vol, W int
+	Str          int32
+}
+
+// MemRef is a resolved memory reference. Exactly one of Lock (index
+// into Env.Mems) and Plain (index into Env.Plains) is >= 0.
 type MemRef struct {
 	Lock  int
 	Plain int
@@ -45,47 +75,33 @@ type MemRef struct {
 	Width int
 }
 
-// ExternRef is the host's resolution of an extern function call site.
+// ExternRef is a resolved extern function (index into Env.Externs).
 type ExternRef struct {
 	Idx    int
 	ParamW []int
 	Site   uint64
 }
 
-// PipeRef is the host's resolution of a spawn target pipeline.
+// PipeRef is a resolved spawn target pipeline.
 type PipeRef struct {
 	Idx    int
 	ParamW []int
 }
 
-// Hooks are the host-side resolution callbacks the compiler consults.
-// They are only called during compilation, never at run time.
-type Hooks struct {
-	// Ident resolves an identifier in pipe context (sim's identBind).
-	Ident func(n *ast.Ident) (IdentBind, bool)
-	// Const resolves a program constant by name (function bodies).
-	Const func(name string) (V, bool)
-	// AssignVol reports whether an assign statement targets a volatile
-	// register, and its index and width if so.
-	AssignVol func(s ast.Stmt) (idx, width int, ok bool)
-	// AssignSlot gives the latch slot an assign/spec-call statement binds.
-	AssignSlot func(s ast.Stmt) int
-	// Vol resolves a volatile register by name (VolWrite statements).
-	Vol func(name string) (idx, width int)
-	// MemW resolves the memory of a MemWrite/Lock/Abort statement.
-	MemW func(s ast.Stmt) MemRef
-	// MemRead resolves a memory read expression; ok is false when the
-	// read is unresolved (e.g. inside a function body).
-	MemRead func(n *ast.MemRead) (MemRef, bool)
-	// FieldIndex gives the pre-resolved record field index, -1 if unknown.
-	FieldIndex func(n *ast.FieldAccess) int
-	// IsUnsized reports whether an expression is an unsized literal tree
-	// (sim's width-adaptation rule).
-	IsUnsized func(e ast.Expr) bool
-	// Extern resolves an extern function by name.
-	Extern func(name string) (ExternRef, bool)
-	// Pipe resolves a spawn target pipeline by name.
-	Pipe func(name string) PipeRef
+// IsUnsized reports whether an expression is an unsized literal (or a
+// composition of them), whose runtime width adapts to its context.
+func (r *Resolution) IsUnsized(e ast.Expr) bool {
+	switch n := e.(type) {
+	case *ast.IntLit:
+		return n.Width == 0
+	case *ast.Ident:
+		return r.Unsized[n.Name]
+	case *ast.Unary:
+		return r.IsUnsized(n.X)
+	case *ast.Binary:
+		return r.IsUnsized(n.L) && r.IsUnsized(n.R)
+	}
+	return false
 }
 
 // StageCtx is the per-stage compilation context.
@@ -95,9 +111,6 @@ type StageCtx struct {
 	// NSlots is the pipe's latched-variable slot count; registers
 	// [0,NSlots) of the stage window are pinned to slots.
 	NSlots int
-	// SelfParamW are the pipe's own parameter widths (spec_call targets
-	// its own pipe).
-	SelfParamW []int
 	// EArgW gives the width of canonical except-argument i.
 	EArgW func(i int) int
 }
@@ -105,16 +118,17 @@ type StageCtx struct {
 // Compiler builds one Program for a design. Compile all functions first
 // (CompileFuncs), then every stage (CompileStage), then Finish.
 type Compiler struct {
-	hooks   Hooks
+	res     *Resolution
 	prog    *Program
 	funcIdx map[string]int
 	strIdx  map[string]int32
 }
 
-// NewCompiler returns a compiler whose Program has nstages stage slots.
-func NewCompiler(h Hooks, nstages int) *Compiler {
+// NewCompiler returns a compiler, lowering against the design's
+// resolution, whose Program has nstages stage slots.
+func NewCompiler(r *Resolution, nstages int) *Compiler {
 	return &Compiler{
-		hooks:   h,
+		res:     r,
 		prog:    &Program{Stages: make([]StageProg, nstages)},
 		funcIdx: make(map[string]int),
 		strIdx:  make(map[string]int32),
@@ -417,19 +431,20 @@ func (sc *segc) stmt(s ast.Stmt) {
 		sc.funcStmt(s)
 		return
 	}
-	h := &sc.c.hooks
+	res := sc.c.res
 	switch n := s.(type) {
 	case *ast.Skip:
 	case *ast.GefGuard:
 		sc.emit(Instr{Op: OpStallGef, A: int32(sc.ctx.PipeIdx)})
 		sc.stmts(n.Body)
 	case *ast.Assign:
-		if vi, w, isVol := h.AssignVol(s); isVol {
+		t := res.Targets[s]
+		if t.Vol >= 0 {
 			r := sc.expr(n.RHS, -1)
-			sc.emit(Instr{Op: OpEffVol, A: int32(vi), B: int16(r), C: int16(w)})
+			sc.emit(Instr{Op: OpEffVol, A: int32(t.Vol), B: int16(r), C: int16(t.W)})
 			return
 		}
-		slot := h.AssignSlot(s)
+		slot := t.Slot
 		if n.Latched {
 			r := sc.expr(n.RHS, -1)
 			sc.emit(Instr{Op: OpStorePend, A: int32(slot), B: int16(r)})
@@ -441,19 +456,19 @@ func (sc *segc) stmt(s ast.Stmt) {
 		// landed there.
 		sc.cache[slot] = r == slot
 	case *ast.MemWrite:
-		ref := h.MemW(s)
+		ref := res.MemOps[s]
 		ri := sc.expr(n.Index, -1)
 		rv := sc.expr(n.RHS, -1)
 		sc.emit(Instr{Op: OpMemWrite, A: int32(ri), B: int16(rv), C: int16(ref.Lock),
 			Imm: ref.Depth | uint64(ref.Width)<<48})
 	case *ast.VolWrite:
-		vi, w := h.Vol(n.Vol)
+		t := res.Targets[s]
 		r := sc.expr(n.RHS, -1)
-		sc.emit(Instr{Op: OpEffVol, A: int32(vi), B: int16(r), C: int16(w)})
+		sc.emit(Instr{Op: OpEffVol, A: int32(t.Vol), B: int16(r), C: int16(t.W)})
 	case *ast.If:
 		sc.ifStmt(n)
 	case *ast.Lock:
-		ref := h.MemW(s)
+		ref := res.MemOps[s]
 		addr := int32(-1)
 		if n.Index != nil {
 			addr = int32(sc.expr(n.Index, -1))
@@ -491,31 +506,28 @@ func (sc *segc) stmt(s ast.Stmt) {
 	case *ast.SpecClear:
 		sc.emit(Instr{Op: OpEffSpecClear, A: int32(sc.ctx.PipeIdx)})
 	case *ast.Abort:
-		ref := h.MemW(s)
-		sc.emit(Instr{Op: OpLockAbort, C: int16(ref.Lock)})
+		sc.emit(Instr{Op: OpLockAbort, C: int16(res.MemOps[s].Lock)})
 	case *ast.Call:
-		pr := h.Pipe(n.Pipe)
+		pr := res.Pipes[n.Pipe]
 		sc.emit(Instr{Op: OpStallIfFull, A: int32(pr.Idx)})
 		for i, a := range n.Args {
 			r := sc.expr(a, -1)
 			sc.emit(Instr{Op: OpSpawnPush, B: int16(r), C: int16(pr.ParamW[i])})
 		}
-		cross := n.Pipe != sc.ctx.PipeName
-		str := int16(-1)
 		var imm uint64
-		if cross {
+		if n.Pipe != sc.ctx.PipeName {
 			imm = 1
-			str = int16(sc.c.intern(n.Result))
 		}
-		sc.emit(Instr{Op: OpSpawn, A: int32(pr.Idx), B: int16(len(n.Args)), C: str, Imm: imm})
+		sc.emit(Instr{Op: OpSpawn, A: int32(pr.Idx), B: int16(len(n.Args)), C: int16(res.Targets[s].Str), Imm: imm})
 	case *ast.SpecCall:
 		pi := sc.ctx.PipeIdx
 		sc.emit(Instr{Op: OpStallIfFull, A: int32(pi)})
+		selfW := res.Pipes[sc.ctx.PipeName].ParamW
 		for i, a := range n.Args {
 			r := sc.expr(a, -1)
-			sc.emit(Instr{Op: OpSpawnPush, B: int16(r), C: int16(sc.ctx.SelfParamW[i])})
+			sc.emit(Instr{Op: OpSpawnPush, B: int16(r), C: int16(selfW[i])})
 		}
-		slot := h.AssignSlot(s)
+		slot := res.Targets[s].Slot
 		sc.emit(Instr{Op: OpSpecSpawnFin, A: int32(slot), B: int16(pi), C: int16(len(n.Args))})
 		// The handle was written to the slot's stage-local entry, not the
 		// pinned register.
@@ -636,7 +648,6 @@ func (sc *segc) expr(e ast.Expr, want int) int {
 	if fv, ok := sc.fold(e); ok {
 		return sc.emitConst(fv, want)
 	}
-	h := &sc.c.hooks
 	switch n := e.(type) {
 	case *ast.Ident:
 		return sc.identExpr(n, want)
@@ -681,7 +692,7 @@ func (sc *segc) expr(e ast.Expr, want int) int {
 	case *ast.CallExpr:
 		return sc.callExpr(n, want)
 	case *ast.MemRead:
-		ref, ok := h.MemRead(n)
+		ref, ok := sc.c.res.Reads[n]
 		if !ok {
 			sc.panicOp(fmt.Sprintf("sim: unresolved memory %q", n.Mem))
 			return sc.dstReg(want)
@@ -699,7 +710,10 @@ func (sc *segc) expr(e ast.Expr, want int) int {
 		return sc.slice(n, want)
 	case *ast.FieldAccess:
 		x := sc.expr(n.X, -1)
-		idx := h.FieldIndex(n)
+		idx, ok := sc.c.res.Fields[n]
+		if !ok {
+			idx = -1
+		}
 		dst := sc.dstReg(want)
 		sc.wrote(dst)
 		sc.emit(Instr{Op: OpField, A: int32(dst), B: int16(x), C: int16(idx),
@@ -731,7 +745,7 @@ func (sc *segc) identExpr(n *ast.Ident, want int) int {
 		sc.panicOp(fmt.Sprintf("sim: function references unknown name %q", n.Name))
 		return sc.dstReg(want)
 	}
-	b, ok := sc.c.hooks.Ident(n)
+	b, ok := sc.c.res.Idents[n]
 	if !ok {
 		sc.panicOp(fmt.Sprintf("sim: unresolved name %q in pipe %s", n.Name, sc.ctx.PipeName))
 		return sc.dstReg(want)
@@ -872,10 +886,9 @@ func mirrorImm(op ast.BinOp) (uint8, bool) {
 }
 
 func (sc *segc) binary(n *ast.Binary, want int) int {
-	h := &sc.c.hooks
 	adapt := n.Op != ast.OpShl && n.Op != ast.OpShr
-	adaptL := adapt && h.IsUnsized(n.L)
-	adaptR := adapt && !adaptL && h.IsUnsized(n.R)
+	adaptL := adapt && sc.c.res.IsUnsized(n.L)
+	adaptR := adapt && !adaptL && sc.c.res.IsUnsized(n.R)
 
 	immC := func(cv V, ad bool) (int16, bool) {
 		if cv.Rec != nil {
@@ -1005,7 +1018,6 @@ func (sc *segc) slice(n *ast.Slice, want int) int {
 }
 
 func (sc *segc) callExpr(n *ast.CallExpr, want int) int {
-	h := &sc.c.hooks
 	switch n.Name {
 	case "ext", "sext":
 		xr := sc.expr(n.Args[0], -1)
@@ -1068,7 +1080,7 @@ func (sc *segc) callExpr(n *ast.CallExpr, want int) int {
 
 	// Extern (externs shadow in-language functions, like the
 	// interpreter's lookup order).
-	if er, ok := h.Extern(n.Name); ok {
+	if er, ok := sc.c.res.Externs[n.Name]; ok {
 		sc.emit(Instr{Op: OpExternPre, Imm: er.Site})
 		for i, a := range n.Args {
 			r := sc.expr(a, -1)
@@ -1132,21 +1144,14 @@ func (sc *segc) fold1(e ast.Expr) (V, bool) {
 		return Scalar(val.Bool(n.Value)), true
 	case *ast.Ident:
 		if sc.ctx != nil {
-			if b, ok := sc.c.hooks.Ident(n); ok && b.Kind == 1 {
-				return b.Con, true
-			}
-			return V{}, false
+			b, ok := sc.c.res.Idents[n]
+			return b.Con, ok && b.Kind == 1
 		}
 		if _, isSlot := sc.fslots[n.Name]; isSlot {
 			return V{}, false
 		}
-		if sc.c.hooks.Const == nil {
-			return V{}, false
-		}
-		if con, ok := sc.c.hooks.Const(n.Name); ok {
-			return con, true
-		}
-		return V{}, false
+		con, ok := sc.c.res.Consts[n.Name]
+		return con, ok
 	case *ast.Unary:
 		x, ok := sc.fold1(n.X)
 		if !ok {
@@ -1169,10 +1174,9 @@ func (sc *segc) fold1(e ast.Expr) (V, bool) {
 		if !ok {
 			return V{}, false
 		}
-		h := &sc.c.hooks
 		adapt := n.Op != ast.OpShl && n.Op != ast.OpShr
-		adaptL := adapt && h.IsUnsized(n.L)
-		adaptR := adapt && !adaptL && h.IsUnsized(n.R)
+		adaptL := adapt && sc.c.res.IsUnsized(n.L)
+		adaptR := adapt && !adaptL && sc.c.res.IsUnsized(n.R)
 		lv, rv := l.Val, r.Val
 		if lv.Width() != rv.Width() {
 			if adaptL {

@@ -16,12 +16,13 @@ import (
 	"xpdl/internal/val"
 )
 
-// Env is the mutable state one machine exposes to the dispatch loop.
-// The host sets the per-firing fields (Vars..SpecStatus) before Exec and
-// reads the result flags (Stalled, Died, WroteAny, Lef, EArgs) after.
-// Slices documented as shared alias the host's arenas; append-growing
-// ones (SpawnArgs, SpawnDirty, ExtArgs) must be copied back by the host
-// after Exec since append may reallocate.
+// Env is the mutable state one machine exposes to the dispatch loop,
+// and the machine's one firing record: the host sets the per-firing
+// fields (Vars..SpecStatus) before Exec and reads the effect log and the
+// result flags (Stalled, Died, WroteAny, Lef, EArgs, TookExc) after. The
+// host's AST interpreter fills the same fields, so both executors hand
+// the host one effect log. Slices documented as shared alias the host's
+// arenas.
 type Env struct {
 	// Regs is the register file. Stage code runs in window [0,NRegs);
 	// in-language function calls stack windows above the caller's.

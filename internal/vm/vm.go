@@ -312,7 +312,7 @@ const (
 	// Spawns (sub-pipeline calls).
 	OpStallIfFull  // stall when pipe A's entry queue + pending spawns >= EntryCap
 	OpSpawnPush    // push val.New(Regs[B].Uint(), C) onto the spawn-arg arena
-	OpSpawn        // spawn effect into pipe A: B args, result var Strs[C] (C<0 none), Imm bit0 = cross-pipe
+	OpSpawn        // spawn effect into pipe A: B args, result var Resolution.Strs[C] (C<0 none), Imm bit0 = cross-pipe
 	OpSpecSpawnFin // consume pipe B's next spec handle into slot A, spawn effect with C args
 	OpSpecCheck    // resolve/die on the instruction's speculation status (pending: keep going)
 	OpSpecBarrier  // like OpSpecCheck but stall while pending

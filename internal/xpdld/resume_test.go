@@ -108,10 +108,19 @@ func TestCancelResumeEquivalence(t *testing.T) {
 // checkpoints running jobs back to queued, and a new server on the same
 // state directory recovers and finishes them with the uninterrupted
 // report.
+//
+// The job is sized for the race detector on a 2-core host, where the
+// test runs twice over (the uninterrupted baseline, then preempt and
+// recovery). The former 120k-iteration loop (~1.47M chaos cycles,
+// checkpoint every 5k) failed its one-minute deadline there after
+// ~123 s; 12k iterations (~148k cycles) with a checkpoint every 2k
+// cycles take ~4 s per run under -race and ~1 s plain, while the first
+// checkpoint lands in tens of milliseconds, so the job is still running
+// when Close preempts it.
 func TestPreemptRestartCompletes(t *testing.T) {
 	sp := Spec{
-		Kind: KindChaos, Design: "base", Asm: loopAsm(120_000),
-		Seed: 5, Engine: "vm", CheckpointEvery: 5_000, MaxCycles: 5_000_000,
+		Kind: KindChaos, Design: "base", Asm: loopAsm(12_000),
+		Seed: 5, Engine: "vm", CheckpointEvery: 2_000, MaxCycles: 5_000_000,
 	}
 	want := runToDone(t, sp)
 
