@@ -1,5 +1,5 @@
 # Tier-1: everything must build and every test must pass.
-.PHONY: all test vet vet-xpdl bveq-smoke bveq-nightly bench bench-smoke perfbench-test chaos cover fuzz-smoke fuzz-designs fuzz-corpus race soak serve-smoke serve-soak torture-smoke torture clean
+.PHONY: all test vet fmt-check vet-xpdl bveq-smoke bveq-nightly bench bench-smoke perfbench-test chaos cover fuzz-smoke fuzz-designs fuzz-corpus race soak serve-smoke serve-soak torture-smoke torture clean
 
 all: vet vet-xpdl bveq-smoke test
 
@@ -16,6 +16,10 @@ test:
 
 vet:
 	go vet ./...
+
+# fmt-check fails when any Go file in the tree is not gofmt-formatted.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 # bveq-smoke runs the bounded exhaustive equivalence gate as a tier-1
 # check: all five hand-written variants must earn the bounded-verified

@@ -139,8 +139,8 @@ func NewVariantTarget(v designs.Variant, width int, corrupt func(map[string]*cor
 	case designs.Fatal:
 		for _, l := range [][2]string{
 			{".word 0xFFFFFFFF", ".word 0xFFFFFFFF"},
-			{"lw t0, 1(zero)", "lw t0, 1(zero)"},  // misaligned load
-			{"sw t0, 2(zero)", "sw t0, 2(zero)"},  // misaligned store
+			{"lw t0, 1(zero)", "lw t0, 1(zero)"}, // misaligned load
+			{"sw t0, 2(zero)", "sw t0, 2(zero)"}, // misaligned store
 		} {
 			if err := addExc(l[0], l[1]); err != nil {
 				return nil, err

@@ -104,10 +104,20 @@ func (p *Processor) RaiseInterrupt(bits uint32) {
 
 // Retired returns the cpu pipeline's retirement trace.
 func (p *Processor) Retired() []sim.Retirement {
-	var out []sim.Retirement
-	for _, r := range p.M.Retired() {
-		if r.Pipe == "cpu" {
-			out = append(out, r)
+	all := p.M.Retired()
+	n := 0
+	for i := range all {
+		if all[i].Pipe == "cpu" {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]sim.Retirement, 0, n)
+	for i := range all {
+		if all[i].Pipe == "cpu" {
+			out = append(out, all[i])
 		}
 	}
 	return out

@@ -65,7 +65,8 @@ func (m *Machine) fire(node *stageNode) bool {
 	if in.spec {
 		e.SpecStatus = uint8(node.pipe.specTab.status(in.specHandle))
 	}
-	e.Stalled, e.Died, e.WroteAny = false, false, false
+	e.Stalled, e.Died = false, false
+	e.Dirty = e.Dirty[:0]
 	e.Effects = e.Effects[:0]
 	e.SpawnArgs = e.SpawnArgs[:0]
 	e.ExtArgs = e.ExtArgs[:0]
@@ -109,17 +110,15 @@ func (m *Machine) fire(node *stageNode) bool {
 		}
 	}
 
-	// Apply buffered state: combinational then latched variable writes,
-	// exception flags, then machine-level effects in program order.
-	if e.WroteAny {
-		sc := &m.scratch
-		for slot := range in.vars {
-			if sc.localEpoch[slot] == sc.epoch {
-				in.vars[slot] = slotVal{V: sc.local[slot], OK: true}
-			}
-			if sc.pendEpoch[slot] == sc.epoch {
-				in.vars[slot] = slotVal{V: sc.pend[slot], OK: true}
-			}
+	// Apply buffered state: the slots this firing wrote (a latched write
+	// wins over a combinational one), exception flags, then
+	// machine-level effects in program order.
+	sc := &m.scratch
+	for _, slot := range e.Dirty {
+		if sc.pendEpoch[slot] == sc.epoch {
+			in.vars[slot] = slotVal{V: sc.pend[slot], OK: true}
+		} else {
+			in.vars[slot] = slotVal{V: sc.local[slot], OK: true}
 		}
 	}
 	in.lef = e.Lef
@@ -149,7 +148,7 @@ func (m *Machine) fire(node *stageNode) bool {
 	}
 	node.cur = nil
 	if dest == nil {
-		m.retire(in, node)
+		m.retire(in)
 		return true
 	}
 	if dest.cur != nil {
@@ -177,22 +176,6 @@ func (f *firing) run(node *stageNode) {
 func (f *firing) stall() { f.Stalled = true }
 
 func (f *firing) eff(e vm.Effect) { f.Effects = append(f.Effects, e) }
-
-// setLocal records a combinational (=) write, visible immediately.
-func (f *firing) setLocal(slot int, v V) {
-	sc := &f.m.scratch
-	sc.local[slot] = v
-	sc.localEpoch[slot] = sc.epoch
-	f.WroteAny = true
-}
-
-// setPend records a latched (<-) write, visible from the next stage.
-func (f *firing) setPend(slot int, v V) {
-	sc := &f.m.scratch
-	sc.pend[slot] = v
-	sc.pendEpoch[slot] = sc.epoch
-	f.WroteAny = true
-}
 
 // getLocal reads back a combinational write from this firing.
 func (f *firing) getLocal(slot int) (V, bool) {
@@ -249,9 +232,9 @@ func (f *firing) stmt(s ast.Stmt) {
 			return
 		}
 		if n.Latched {
-			f.setPend(t.Slot, v)
+			f.StorePend(t.Slot, v)
 		} else {
-			f.setLocal(t.Slot, v)
+			f.StoreLoc(t.Slot, v)
 		}
 	case *ast.MemWrite:
 		ref := m.res.MemOps[s]
@@ -443,7 +426,7 @@ func (f *firing) specCall(n *ast.SpecCall) {
 	// run); its hardware footprint is modeled separately (ast.THandle).
 	h := ps.specTab.nextHandle
 	ps.specTab.nextHandle++
-	f.setLocal(f.m.res.Targets[n].Slot, Scalar(val.New(h, 48)))
+	f.StoreLoc(f.m.res.Targets[n].Slot, Scalar(val.New(h, 48)))
 	f.eff(vm.Effect{Kind: vm.EffSpecSpawn, A: int32(ps.idx), ArgOff: off, ArgN: int32(len(n.Args)), H: h})
 }
 
@@ -563,10 +546,6 @@ func (f *firing) eval(e ast.Expr) V {
 		}
 		if x.Rec == nil {
 			panic(fmt.Sprintf("sim: field access .%s on scalar", n.Field))
-		}
-		if idx, ok := f.m.res.Fields[n]; ok && idx >= 0 &&
-			idx < len(x.Rec.Names) && x.Rec.Names[idx] == n.Field {
-			return Scalar(x.Rec.Vals[idx])
 		}
 		fv, ok := x.Rec.Field(n.Field)
 		if !ok {

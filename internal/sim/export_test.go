@@ -25,3 +25,26 @@ func DesignCacheLen() int {
 	designCache.Range(func(_, _ any) bool { n++; return true })
 	return n
 }
+
+// DirtyGaps checks the current firing's dirty-slot list (vm.Env.Dirty)
+// against the epoch stamps: missing are the slots stamped in the
+// current epoch but not listed, dup the slots listed more than once.
+// Read from an Observer callback or between Steps, both nil means the
+// last firing's write-back saw every slot it wrote.
+func (m *Machine) DirtyGaps() (missing, dup []int) {
+	sc := &m.scratch
+	listed := make(map[int]int)
+	for _, s := range m.env.Dirty {
+		listed[int(s)]++
+	}
+	for s := range sc.local {
+		stamped := sc.localEpoch[s] == sc.epoch || sc.pendEpoch[s] == sc.epoch
+		if stamped && listed[s] == 0 {
+			missing = append(missing, s)
+		}
+		if listed[s] > 1 {
+			dup = append(dup, s)
+		}
+	}
+	return missing, dup
+}

@@ -26,6 +26,7 @@ type design struct {
 	res    *vm.Resolution
 	slotOf []map[string]int // per pipe: variable name → slot
 	zeroes [][]V            // per pipe: per-slot typed zero (undriven reads)
+	params [][]int          // per pipe: the slot of each parameter
 	funcs  map[string]*ast.FuncDecl
 
 	once sync.Once
@@ -93,7 +94,7 @@ func resolveDesign(info *check.Info, trs map[string]*core.Result) *design {
 		Reads:   make(map[*ast.MemRead]vm.MemRef),
 		MemOps:  make(map[ast.Stmt]vm.MemRef),
 		Targets: make(map[ast.Stmt]vm.Target),
-		Fields:  make(map[*ast.FieldAccess]int),
+		Fields:  make(map[*ast.FieldAccess]vm.FieldRef),
 		Consts:  make(map[string]V, len(info.Consts)),
 		Externs: make(map[string]vm.ExternRef, len(prog.Externs)),
 		Pipes:   make(map[string]vm.PipeRef, len(prog.Pipes)),
@@ -153,6 +154,11 @@ func resolveDesign(info *check.Info, trs map[string]*core.Result) *design {
 		d.trs = append(d.trs, trs[pd.Name])
 		d.slotOf = append(d.slotOf, z.slots)
 		d.zeroes = append(d.zeroes, zeroes)
+		var params []int
+		for _, p := range trs[pd.Name].Pipe.Params {
+			params = append(params, z.slots[p.Name])
+		}
+		d.params = append(d.params, params)
 		z.stmts(trs[pd.Name].Pipe.Body)
 	}
 	return d
@@ -292,22 +298,24 @@ func (z *resolver) expr(e ast.Expr) {
 		z.expr(n.Hi)
 		z.expr(n.Lo)
 	case *ast.FieldAccess:
-		r.Fields[n] = z.fieldIndex(n)
+		r.Fields[n] = z.fieldRef(n)
 		z.expr(n.X)
 	}
 }
 
-// fieldIndex computes the sorted-field index of a record access when the
-// operand's checked type is known (an Ident bound to a record variable);
-// -1 otherwise, falling back to a name scan at run time.
-func (z *resolver) fieldIndex(n *ast.FieldAccess) int {
+// fieldRef resolves a record access against the canonical layout of the
+// operand's checked type when that type is known (an Ident bound to a
+// record variable); otherwise the access has no layout and reads by name
+// at run time.
+func (z *resolver) fieldRef(n *ast.FieldAccess) vm.FieldRef {
+	ref := vm.FieldRef{Name: n.Field, Idx: -1}
 	id, ok := n.X.(*ast.Ident)
 	if !ok {
-		return -1
+		return ref
 	}
 	t, ok := z.vars[id.Name]
 	if !ok || t.Kind != ast.TRecord {
-		return -1
+		return ref
 	}
 	names := make([]string, 0, len(t.Fields))
 	for _, f := range t.Fields {
@@ -316,8 +324,8 @@ func (z *resolver) fieldIndex(n *ast.FieldAccess) int {
 	sort.Strings(names)
 	for i, name := range names {
 		if name == n.Field {
-			return i
+			return vm.FieldRef{Name: n.Field, Layout: vm.Layout(names), Idx: i}
 		}
 	}
-	return -1
+	return ref
 }

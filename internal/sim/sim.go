@@ -204,19 +204,25 @@ type Machine struct {
 
 	scratch firingScratch
 
-	// Hot-path arenas, all reused across firings so the steady-state
-	// cycle loop allocates nothing: the single firing record, the
-	// instruction free list, and the retirement-args arena.
+	// Hot-path arenas, reused across firings: the single firing record
+	// and the instruction free list.
 	fr       firing
 	instPool []*inst
-	retArgs  []val.Value
 	snapBuf  []*inst
 	descBuf  []*inst
+
+	// The retirement trace is a pointer-free log (retLog) over one value
+	// arena (retArgs) holding every retirement's args and eargs, so
+	// retiring an instruction appends plain words the garbage collector
+	// never scans. Retired builds the []Retirement view lazily and
+	// extends it in place (retView).
+	retLog  []retRec
+	retArgs []val.Value
+	retView []Retirement
 
 	cycle     int
 	nextIID   uint64
 	alive     map[uint64]*inst
-	retired   []Retirement
 	firings   uint64 // total successful stage firings, for utilization stats
 	idleFor   int    // consecutive cycles with no firing and no movement
 	pulledAny bool   // an entry-queue pull happened last Step (state moved)
@@ -278,8 +284,9 @@ type pipeState struct {
 	// Variable storage layout, shared per design: every name the checker
 	// recorded for this pipeline gets a fixed slot; instruction state and
 	// firing scratch are slot-indexed slices instead of string-keyed maps.
-	slotOf map[string]int
-	zeroes []V // per-slot zero of the checked type (undriven reads)
+	slotOf     map[string]int
+	zeroes     []V   // per-slot zero of the checked type (undriven reads)
+	paramSlots []int // slot of each parameter, in declaration order
 }
 
 type stageKind int
@@ -466,7 +473,7 @@ func New(info *check.Info, trs map[string]*core.Result, cfg Config) (*Machine, e
 	d := sharedDesign(info, trs)
 	m.res, m.funcs = d.res, d.funcs
 	for i, ps := range m.pipeList {
-		ps.slotOf, ps.zeroes = d.slotOf[i], d.zeroes[i]
+		ps.slotOf, ps.zeroes, ps.paramSlots = d.slotOf[i], d.zeroes[i], d.params[i]
 		m.scratch.grow(len(ps.zeroes))
 	}
 	m.fr.m, m.fr.Env = m, e
@@ -672,8 +679,8 @@ func (m *Machine) enqueue(ps *pipeState, args []val.Value, parent uint64, spec b
 		in.vars = make([]slotVal, n)
 	}
 	m.nextIID++
-	for i, p := range ps.decl.Params {
-		in.vars[ps.slotOf[p.Name]] = slotVal{V: Scalar(in.args[i]), OK: true}
+	for i, slot := range ps.paramSlots {
+		in.vars[slot] = slotVal{V: Scalar(in.args[i]), OK: true}
 	}
 	ps.entryQ = append(ps.entryQ, in)
 	m.alive[in.iid] = in
@@ -709,8 +716,24 @@ func (m *Machine) Cycle() int { return m.cycle }
 // Firings reports total successful stage firings (for utilization stats).
 func (m *Machine) Firings() uint64 { return m.firings }
 
-// Retired returns the retirement trace.
-func (m *Machine) Retired() []Retirement { return m.retired }
+// Retired returns the retirement trace. The view is extended from the
+// retirement log on each call, so calling it every cycle costs amortised
+// O(1) per retirement; a slice returned earlier is never modified, and
+// its capacity is capped so appending to it copies.
+func (m *Machine) Retired() []Retirement {
+	n := len(m.retLog)
+	if len(m.retView) < n {
+		if cap(m.retView) < n {
+			grown := make([]Retirement, len(m.retView), max(n, 2*cap(m.retView)))
+			copy(grown, m.retView)
+			m.retView = grown
+		}
+		for i := len(m.retView); i < n; i++ {
+			m.retView = append(m.retView, m.retirement(&m.retLog[i]))
+		}
+	}
+	return m.retView[:n:n]
+}
 
 // InFlight reports live instructions (in stages or entry queues).
 func (m *Machine) InFlight() int { return len(m.alive) }
@@ -789,8 +812,7 @@ func (m *Machine) step() error {
 	}
 	m.pulledAny = false
 	progressed := false
-	for _, name := range m.pipeOrder {
-		ps := m.pipes[name]
+	for _, ps := range m.pipeList {
 		for _, node := range ps.nodes {
 			if node.cur == nil && node.kind == kindBody && node.index == 0 {
 				m.pullEntry(ps, node)
@@ -921,8 +943,8 @@ func (m *Machine) quiesceSkip(budgetLeft int) int {
 		if len(m.alive) != 0 {
 			return 0
 		}
-		for _, name := range m.pipeOrder {
-			if len(m.pipes[name].entryQ) != 0 {
+		for _, ps := range m.pipeList {
+			if len(ps.entryQ) != 0 {
 				return 0
 			}
 		}
@@ -1078,26 +1100,71 @@ func (m *Machine) removeInst(in *inst) {
 	m.poolPut(in)
 }
 
-func (m *Machine) retire(in *inst, node *stageNode) {
-	if len(m.retired) < maxTraceDefault(m.cfg.MaxTrace) {
-		// Copy args into the retirement arena: the instruction record is
-		// pooled, so the trace cannot alias its slices. EArgs transfer
-		// ownership (they are copy-on-write and never mutated again).
-		off := len(m.retArgs)
-		m.retArgs = append(m.retArgs, in.args...)
-		args := m.retArgs[off:len(m.retArgs):len(m.retArgs)]
-		m.retired = append(m.retired, Retirement{
-			Pipe:        in.pipe.name,
-			IID:         in.iid,
-			Args:        args,
-			Exceptional: in.lef,
-			EArgs:       in.eargs,
-			Cycle:       m.cycle,
-		})
+// retRec is one retirement in the log: Args is retArgs[off:eoff], EArgs
+// retArgs[eoff:end] when hasE (nil otherwise).
+type retRec struct {
+	iid            uint64
+	cycle          int
+	off, eoff, end uint32
+	pipe           uint16
+	exc, hasE      bool
+}
+
+// noEArgs is the non-nil empty EArgs of an exceptional retirement that
+// captured no argument.
+var noEArgs = []val.Value{}
+
+// retirement materializes one log record as the public Retirement. Its
+// slices alias the arena with capped capacity.
+func (m *Machine) retirement(r *retRec) Retirement {
+	rt := Retirement{
+		Pipe:        m.pipeList[r.pipe].name,
+		IID:         r.iid,
+		Args:        m.retArgs[r.off:r.eoff:r.eoff],
+		Exceptional: r.exc,
+		Cycle:       r.cycle,
+	}
+	if r.hasE {
+		rt.EArgs = noEArgs
+		if r.end > r.eoff {
+			rt.EArgs = m.retArgs[r.eoff:r.end:r.end]
+		}
+	}
+	return rt
+}
+
+// logRetirement appends one retirement to the log; its args and eargs
+// are copied into the arena, because instruction records are pooled.
+func (m *Machine) logRetirement(pipe int, iid uint64, cycle int, args []val.Value, exc bool, eargs []val.Value) {
+	r := retRec{iid: iid, cycle: cycle, pipe: uint16(pipe), exc: exc, hasE: eargs != nil}
+	m.retLog = growDouble(m.retLog, 1)
+	m.retArgs = growDouble(m.retArgs, len(args)+len(eargs))
+	r.off = uint32(len(m.retArgs))
+	m.retArgs = append(m.retArgs, args...)
+	r.eoff = uint32(len(m.retArgs))
+	m.retArgs = append(m.retArgs, eargs...)
+	r.end = uint32(len(m.retArgs))
+	m.retLog = append(m.retLog, r)
+}
+
+// growDouble makes room for n more elements, doubling the capacity when
+// it runs out (append's growth factor falls to 1.25 for large slices,
+// which would copy a long trace several times over).
+func growDouble[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	grown := make([]T, len(s), max(2*cap(s), len(s)+n, 8))
+	copy(grown, s)
+	return grown
+}
+
+func (m *Machine) retire(in *inst) {
+	if len(m.retLog) < maxTraceDefault(m.cfg.MaxTrace) {
+		m.logRetirement(in.pipe.idx, in.iid, m.cycle, in.args, in.lef, in.eargs)
 	}
 	delete(m.alive, in.iid)
 	m.poolPut(in)
-	_ = node
 }
 
 func maxTraceDefault(n int) int {

@@ -131,24 +131,24 @@ func (m *Machine) Save(wr io.Writer) error {
 	}
 
 	// Retirement trace.
-	w.Int(len(m.retired))
-	for i := range m.retired {
-		rt := &m.retired[i]
-		w.String(rt.Pipe)
-		w.U64(rt.IID)
-		w.Int(len(rt.Args))
-		for _, a := range rt.Args {
+	w.Int(len(m.retLog))
+	for i := range m.retLog {
+		rt := &m.retLog[i]
+		w.String(m.pipeList[rt.pipe].name)
+		w.U64(rt.iid)
+		w.Int(int(rt.eoff - rt.off))
+		for _, a := range m.retArgs[rt.off:rt.eoff] {
 			w.Val(a)
 		}
-		w.Bool(rt.Exceptional)
-		w.Bool(rt.EArgs != nil)
-		if rt.EArgs != nil {
-			w.Int(len(rt.EArgs))
-			for _, e := range rt.EArgs {
+		w.Bool(rt.exc)
+		w.Bool(rt.hasE)
+		if rt.hasE {
+			w.Int(int(rt.end - rt.eoff))
+			for _, e := range m.retArgs[rt.eoff:rt.end] {
 				w.Val(e)
 			}
 		}
-		w.Int(rt.Cycle)
+		w.Int(rt.cycle)
 	}
 
 	// Memories and volatiles, in declaration order.
@@ -379,34 +379,43 @@ func (m *Machine) Restore(rd io.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	m.retired = m.retired[:0]
-	m.retArgs = m.retArgs[:0]
+	// Fresh log, arena and view: slices Retired returned before the
+	// restore keep their contents.
+	m.retLog, m.retArgs, m.retView = nil, nil, nil
+	var args, ebuf []val.Value
 	for i := 0; i < nret; i++ {
-		var rt Retirement
-		rt.Pipe = r.String()
-		rt.IID = r.U64()
+		pipe := r.String()
+		iid := r.U64()
 		na := r.Int()
 		if err := r.Err(); err != nil {
 			return err
 		}
-		off := len(m.retArgs)
-		for j := 0; j < na; j++ {
-			m.retArgs = append(m.retArgs, r.Val())
+		ps := m.pipes[pipe]
+		if ps == nil {
+			return fmt.Errorf("sim: snapshot retirement in unknown pipe %q", pipe)
 		}
-		rt.Args = m.retArgs[off:len(m.retArgs):len(m.retArgs)]
-		rt.Exceptional = r.Bool()
+		args = args[:0]
+		for j := 0; j < na; j++ {
+			args = append(args, r.Val())
+		}
+		exc := r.Bool()
+		var eargs []val.Value
 		if r.Bool() {
 			ne := r.Int()
 			if err := r.Err(); err != nil {
 				return err
 			}
-			rt.EArgs = make([]val.Value, ne)
-			for j := range rt.EArgs {
-				rt.EArgs[j] = r.Val()
+			ebuf = ebuf[:0]
+			for j := 0; j < ne; j++ {
+				ebuf = append(ebuf, r.Val())
+			}
+			eargs = ebuf
+			if eargs == nil {
+				eargs = noEArgs
 			}
 		}
-		rt.Cycle = r.Int()
-		m.retired = append(m.retired, rt)
+		cycle := r.Int()
+		m.logRetirement(ps.idx, iid, cycle, args, exc, eargs)
 	}
 
 	for _, md := range m.info.Prog.Mems {

@@ -38,7 +38,7 @@ type Resolution struct {
 	// Targets resolves what Assign, VolWrite and SpecCall statements
 	// write, and the result-variable name of Call statements.
 	Targets map[ast.Stmt]Target
-	Fields  map[*ast.FieldAccess]int // sorted-field index, -1 when unknown
+	Fields  map[*ast.FieldAccess]FieldRef // record field accesses (OpField)
 	Consts  map[string]V
 	Externs map[string]ExternRef
 	Pipes   map[string]PipeRef
@@ -710,14 +710,14 @@ func (sc *segc) expr(e ast.Expr, want int) int {
 		return sc.slice(n, want)
 	case *ast.FieldAccess:
 		x := sc.expr(n.X, -1)
-		idx, ok := sc.c.res.Fields[n]
+		f, ok := sc.c.res.Fields[n]
 		if !ok {
-			idx = -1
+			f = FieldRef{Name: n.Field, Idx: -1}
 		}
 		dst := sc.dstReg(want)
 		sc.wrote(dst)
-		sc.emit(Instr{Op: OpField, A: int32(dst), B: int16(x), C: int16(idx),
-			Imm: uint64(sc.c.intern(n.Field))})
+		sc.c.prog.Fields = append(sc.c.prog.Fields, f)
+		sc.emit(Instr{Op: OpField, A: int32(dst), B: int16(x), Imm: uint64(len(sc.c.prog.Fields) - 1)})
 		return dst
 	}
 	sc.panicOp(fmt.Sprintf("sim: unhandled expression %T", e))

@@ -18,11 +18,11 @@ import (
 
 // Env is the mutable state one machine exposes to the dispatch loop,
 // and the machine's one firing record: the host sets the per-firing
-// fields (Vars..SpecStatus) before Exec and reads the effect log and the
-// result flags (Stalled, Died, WroteAny, Lef, EArgs, TookExc) after. The
-// host's AST interpreter fills the same fields, so both executors hand
-// the host one effect log. Slices documented as shared alias the host's
-// arenas.
+// fields (Vars..SpecStatus) before Exec and reads the written slots
+// (Dirty), the effect log and the result flags (Stalled, Died, Lef,
+// EArgs, TookExc) after. The host's AST interpreter fills the same
+// fields, so both executors hand the host one effect log. Slices
+// documented as shared alias the host's arenas.
 type Env struct {
 	// Regs is the register file. Stage code runs in window [0,NRegs);
 	// in-language function calls stack windows above the caller's.
@@ -30,12 +30,16 @@ type Env struct {
 
 	// Stage-local and latched (next-stage) slot writes, shared with the
 	// host's firing scratch: a slot is live when its epoch stamp equals
-	// Epoch.
+	// Epoch. Dirty lists each slot stamped this epoch once, in first-write
+	// order, so write-back costs the slots a firing wrote rather than the
+	// pipe's slot count. Every slot store goes through StoreLoc or
+	// StorePend.
 	Loc    []V
 	LocEp  []uint32
 	Pend   []V
 	PendEp []uint32
 	Epoch  uint32
+	Dirty  []int32
 
 	Vars  []SlotVal   // latched vars of the firing instruction (shared)
 	Zero  []V         // typed zeroes of the firing pipe's slots (shared)
@@ -66,9 +70,8 @@ type Env struct {
 	Spec       bool
 	SpecStatus uint8
 
-	Stalled  bool
-	Died     bool
-	WroteAny bool
+	Stalled bool
+	Died    bool
 	// TookExc latches the lef value that selected the fork arm (the host
 	// picks the continuation stage from it; the arm itself may overwrite
 	// Lef afterwards).
@@ -97,6 +100,30 @@ func (e *Env) Exec(p *Program, sp *StageProg) {
 	// A stall mid-extern/cat aborts between pushes; unwind the scratch
 	// arena like the interpreter's per-site bail-out does.
 	e.ExtArgs = e.ExtArgs[:extBase]
+}
+
+// StoreLoc records a stage-local (=) write of slot s, visible to the
+// rest of the firing.
+func (e *Env) StoreLoc(s int, v V) {
+	if e.LocEp[s] != e.Epoch {
+		if e.PendEp[s] != e.Epoch {
+			e.Dirty = append(e.Dirty, int32(s))
+		}
+		e.LocEp[s] = e.Epoch
+	}
+	e.Loc[s] = v
+}
+
+// StorePend records a latched (<-) write of slot s, visible from the
+// next stage.
+func (e *Env) StorePend(s int, v V) {
+	if e.PendEp[s] != e.Epoch {
+		if e.LocEp[s] != e.Epoch {
+			e.Dirty = append(e.Dirty, int32(s))
+		}
+		e.PendEp[s] = e.Epoch
+	}
+	e.Pend[s] = v
 }
 
 // immOperand materializes an immediate-ALU operand: width in C's low
@@ -158,15 +185,9 @@ func (e *Env) runSeg(p *Program, seg Seg, base int) bool {
 			}
 			regs[base+int(i.A)] = v
 		case OpStoreLoc:
-			s := int(i.A)
-			e.Loc[s] = regs[base+int(i.B)]
-			e.LocEp[s] = e.Epoch
-			e.WroteAny = true
+			e.StoreLoc(int(i.A), regs[base+int(i.B)])
 		case OpStorePend:
-			s := int(i.A)
-			e.Pend[s] = regs[base+int(i.B)]
-			e.PendEp[s] = e.Epoch
-			e.WroteAny = true
+			e.StorePend(int(i.A), regs[base+int(i.B)])
 		case OpLoadVol:
 			regs[base+int(i.A)] = V{Val: e.Vols[i.B]}
 		case OpLoadEArg:
@@ -326,19 +347,12 @@ func (e *Env) runSeg(p *Program, seg Seg, base int) bool {
 			w := int(regs[base+int(i.C)].Uint())
 			regs[base+int(i.A)] = V{Val: regs[base+int(i.B)].Val.SignExt(w)}
 		case OpField:
-			x := regs[base+int(i.B)]
-			name := p.Strs[i.Imm]
-			if x.Rec == nil {
-				panic(fmt.Sprintf("sim: field access .%s on scalar", name))
-			}
-			if idx := int(i.C); idx >= 0 && idx < len(x.Rec.Names) && x.Rec.Names[idx] == name {
-				regs[base+int(i.A)] = V{Val: x.Rec.Vals[idx]}
+			// Layout identity first (see FieldRef), else by name.
+			r, f := regs[base+int(i.B)].Rec, &p.Fields[i.Imm]
+			if r != nil && f.Idx >= 0 && len(r.Names) != 0 && &r.Names[0] == &f.Layout[0] {
+				regs[base+int(i.A)] = V{Val: r.Vals[f.Idx]}
 			} else {
-				fv, ok := x.Rec.Field(name)
-				if !ok {
-					panic(fmt.Sprintf("sim: record has no field %q", name))
-				}
-				regs[base+int(i.A)] = V{Val: fv}
+				regs[base+int(i.A)] = V{Val: fieldByName(r, f)}
 			}
 		case OpCatPush:
 			e.ExtArgs = append(e.ExtArgs, regs[base+int(i.B)].Val)
@@ -477,10 +491,7 @@ func (e *Env) runSeg(p *Program, seg Seg, base int) bool {
 		case OpSpecSpawnFin:
 			pi := int(i.B)
 			h := e.Host.NextSpecHandle(pi)
-			s := int(i.A)
-			e.Loc[s] = V{Val: val.New(h, 48)}
-			e.LocEp[s] = e.Epoch
-			e.WroteAny = true
+			e.StoreLoc(int(i.A), V{Val: val.New(h, 48)})
 			if e.SpawnCnt[pi] == 0 {
 				e.SpawnDirty = append(e.SpawnDirty, pi)
 			}
@@ -551,6 +562,19 @@ func (e *Env) runSeg(p *Program, seg Seg, base int) bool {
 		}
 	}
 	return false
+}
+
+// fieldByName is OpField's fallback for a record of another layout (or
+// a scalar); its panics are the interpreter's.
+func fieldByName(r *Rec, f *FieldRef) val.Value {
+	if r == nil {
+		panic(fmt.Sprintf("sim: field access .%s on scalar", f.Name))
+	}
+	fv, ok := r.Field(f.Name)
+	if !ok {
+		panic(fmt.Sprintf("sim: record has no field %q", f.Name))
+	}
+	return fv
 }
 
 // binApply dispatches a reg-reg ALU opcode on already-adapted operands;

@@ -20,6 +20,7 @@ package vm
 
 import (
 	"sort"
+	"sync"
 
 	"xpdl/internal/val"
 )
@@ -35,15 +36,18 @@ type V struct {
 }
 
 // Rec is the record payload of a V: parallel name/value slices sorted by
-// field name.
+// field name. Records built by Record share one canonical Names slice
+// per field set (see Layout), so a field access whose declared type
+// matches the value's shape is a pointer comparison.
 type Rec struct {
 	Names []string
 	Vals  []val.Value
 }
 
 // Field looks a record field up by name. Names are sorted (see Record),
-// so the lookup is a binary search; both compiled executors avoid even
-// that by resolving field indices at machine-build time.
+// so the lookup is a binary search; the vm avoids even that when the
+// record's layout is the one the access was resolved against (see
+// FieldRef).
 func (r *Rec) Field(name string) (val.Value, bool) {
 	lo, hi := 0, len(r.Names)
 	for lo < hi {
@@ -58,6 +62,18 @@ func (r *Rec) Field(name string) (val.Value, bool) {
 		return r.Vals[lo], true
 	}
 	return val.Value{}, false
+}
+
+// FieldRef is a resolved record field access: the field's name, and —
+// when the operand's declared record type is known — the canonical
+// layout of that type with the field's index in it (Layout nil, Idx -1
+// otherwise). A record whose Names is that same slice holds the field
+// at Idx; any other shape, such as an extern returning extra or missing
+// fields, is read by name.
+type FieldRef struct {
+	Name   string
+	Layout []string
+	Idx    int
 }
 
 // Uint returns the scalar payload; it panics on records.
@@ -83,18 +99,53 @@ func (v V) Field(name string) (val.Value, bool) {
 // Scalar wraps a bit vector as a V.
 func Scalar(x val.Value) V { return V{Val: x} }
 
-// Record wraps named fields as a V.
+// Record wraps named fields as a V. Its Names slice is the canonical
+// layout of the field set (see Layout), shared by every record of that
+// shape and never mutated.
 func Record(fields map[string]val.Value) V {
-	names := make([]string, 0, len(fields))
+	var buf [32]string
+	names := buf[:0]
 	for n := range fields {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	vals := make([]val.Value, len(names))
-	for i, n := range names {
+	layout := Layout(names)
+	vals := make([]val.Value, len(layout))
+	for i, n := range layout {
 		vals[i] = fields[n]
 	}
-	return V{Rec: &Rec{Names: names, Vals: vals}}
+	return V{Rec: &Rec{Names: layout, Vals: vals}}
+}
+
+// layouts is the process-wide table of canonical field-name lists, keyed
+// by the names joined with NUL. It only grows, bounded by the number of
+// distinct record shapes (declared record types plus the shapes externs
+// build).
+var (
+	layoutsMu sync.Mutex
+	layouts   = map[string][]string{}
+)
+
+// Layout returns the canonical copy of a sorted field-name list: equal
+// lists map to the same slice for the life of the process. The result
+// must not be mutated.
+func Layout(sorted []string) []string {
+	var kb [256]byte
+	key := kb[:0]
+	for i, n := range sorted {
+		if i > 0 {
+			key = append(key, 0)
+		}
+		key = append(key, n...)
+	}
+	layoutsMu.Lock()
+	defer layoutsMu.Unlock()
+	if l, ok := layouts[string(key)]; ok {
+		return l
+	}
+	l := append([]string(nil), sorted...)
+	layouts[string(key)] = l
+	return l
 }
 
 // SlotVal is one latched variable slot of an in-flight instruction; OK
@@ -283,7 +334,7 @@ const (
 	OpSignExtI // Regs[A] = Regs[B].SignExt(C)
 	OpZeroExtD // Regs[A] = Regs[B].ZeroExt(Regs[C]) — dynamic width
 	OpSignExtD // Regs[A] = Regs[B].SignExt(Regs[C])
-	OpField    // Regs[A] = Regs[B].field #C (name Strs[Imm]; C<0 = name scan)
+	OpField    // Regs[A] = Regs[B].field Fields[Imm]
 	OpCatPush  // push Regs[B].Val onto the cat/extern arena
 	OpCatDo    // Regs[A] = val.Cat of the top C arena entries (popped)
 
@@ -387,7 +438,8 @@ type Program struct {
 	Stages []StageProg
 	Funcs  []FuncProg
 	Strs   []string
-	Pool   []V // record constants (OpConstV)
+	Pool   []V        // record constants (OpConstV)
+	Fields []FieldRef // resolved field accesses (OpField)
 	// MaxStageRegs sizes a machine's initial register file: the widest
 	// stage window (function calls grow the file on demand).
 	MaxStageRegs int
