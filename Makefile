@@ -93,13 +93,13 @@ fuzz-corpus:
 	go test -run Fuzz ./internal/pdl/parser/ ./internal/check/
 
 # race runs the concurrency-bearing packages under the race detector
-# with caching disabled — checkpoint/resume plus the lockstep batch
-# driver (worker pool + work stealing) and the per-lane fault
-# derivation — the focused counterpart of CI's tree-wide
-# `go test -race ./...`.
+# with caching disabled — checkpoint/resume, the daemon, and bveq's
+# point worker pool (concurrent Build/Check over one shared design) —
+# the focused counterpart of CI's tree-wide `go test -race ./...`.
+# internal/vm has no tests of its own; sim's tests drive it.
 race:
 	go test -race -count=1 ./internal/sim/ ./internal/cosim/ ./internal/snap/ \
-		./internal/vm/ ./internal/fault/ ./internal/xpdld/
+		./internal/fault/ ./internal/bveq/ ./internal/xpdld/
 
 # soak proves the kill/resume story on the real binary: a chaos run is
 # cut short by -timeout (exit 7, resumable snapshot written), resumed
@@ -186,14 +186,13 @@ torture:
 
 # bench vets the tree, runs the whole benchmark suite once as a smoke
 # check (one iteration per benchmark, with allocation stats), then takes
-# a real measurement of the executor-throughput and lockstep-batch
-# benchmarks, and records the machine-readable results (stamped with the
-# run time and git revision by benchjson). BENCH_pr6.json is the
-# committed snapshot of the bytecode-VM PR; rerun `make bench` to
-# refresh it. BENCH_pr1.json is the frozen pre-VM baseline.
+# a real measurement of the executor-throughput benchmark, and records
+# the machine-readable results (stamped with the run time and git
+# revision by benchjson). BENCH_pr6.json is the committed snapshot of
+# the bytecode-VM PR; rerun `make bench` to refresh it. BENCH_pr1.json is the frozen pre-VM baseline.
 bench: vet
 	{ go test -run='^$$' -bench=. -benchtime=1x -benchmem ./... && \
-	  go test -run='^$$' -bench='SimThroughput|SimBatch' -benchtime=500ms -benchmem ./internal/sim/ ; } \
+	  go test -run='^$$' -bench='SimThroughput' -benchtime=500ms -benchmem ./internal/sim/ ; } \
 	| go run ./cmd/benchjson > BENCH_pr6.json
 
 # bench-smoke is the cheap CI-shaped pass: every benchmark exactly once

@@ -12,14 +12,14 @@
 // counterexample that is shrunk and rendered through internal/diag as
 // an E-BVEQ-* error.
 //
-// The sweep rides the lockstep batch driver (internal/vm.Batch): points
-// of one design are independent lanes over a single compiled program,
-// so the bytecode image stays shared and hot while thousands of lanes
-// advance in parallel. The interpreter cross-checks a sampled subset of
-// points against the primary engine, so the gate also guards the
-// engines against each other.
+// Points of one design are independent: a small worker pool runs each
+// point end to end — build, advance through the budget, check — over a
+// single compiled program, so the bytecode image is built once and
+// shared by every machine. The interpreter cross-checks a sampled
+// subset of points against the primary engine, so the gate also guards
+// the engines against each other.
 //
-// Everything is deterministic: enumeration order is fixed, lane results
+// Everything is deterministic: enumeration order is fixed, point results
 // are collected in point order regardless of worker scheduling, and the
 // report's canonical JSON is byte-identical across runs and across
 // engines.
@@ -27,9 +27,11 @@ package bveq
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"xpdl/internal/sim"
-	"xpdl/internal/vm"
 )
 
 // Inst is one letter of a target's projected alphabet: a fixed
@@ -42,7 +44,7 @@ type Inst struct {
 // Target adapts one compiled design to the gate. A target is built
 // once per design (compile once, build many machines — the vm program
 // cache keys on the checked program identity) and must be safe for
-// concurrent Build/Check calls from batch workers.
+// concurrent Build/Check calls from the sweep's workers.
 type Target interface {
 	// Name identifies the design in reports and diagnostics.
 	Name() string
@@ -89,21 +91,26 @@ func (mm *Mismatch) String() string {
 
 // Bounds parameterizes a sweep. The zero value selects every default.
 type Bounds struct {
-	K      int // max program length in slots (default 3)
-	Width  int // immediate-domain width of the projection (default 2)
-	Window int // interrupt-arrival window in cycles (default 12)
-	Budget int // per-point cycle budget (default 384)
-	// Engine is the primary executor (default "vm"); SpotEvery samples
-	// every Nth point onto the spot engine — the interpreter, unless it
-	// is already primary — as a cross-engine oracle (default 16, <0
-	// disables).
-	Engine    string
-	SpotEvery int
-	// MaxCE caps recorded counterexamples (default 5); Lanes is the
-	// batch width (default 64).
-	MaxCE int
-	Lanes int
+	K      int    // max program length in slots (default 3)
+	Width  int    // immediate-domain width of the projection (default 2)
+	Window int    // interrupt-arrival window in cycles (default 12)
+	Engine string // primary executor (default "vm")
 }
+
+// Fixed sweep parameters: no caller tunes them.
+const (
+	// pointBudget is the per-point cycle budget.
+	pointBudget = 384
+	// spotEvery samples every Nth point onto the spot engine — the
+	// interpreter, unless it is already primary — as a cross-engine
+	// oracle.
+	spotEvery = 16
+	// maxCE caps recorded counterexamples.
+	maxCE = 5
+	// chunkSize is the number of points run between checks of the
+	// counterexample cap, so a failing sweep stops enumerating early.
+	chunkSize = 64
+)
 
 func (b Bounds) withDefaults() Bounds {
 	if b.K <= 0 {
@@ -115,20 +122,8 @@ func (b Bounds) withDefaults() Bounds {
 	if b.Window <= 0 {
 		b.Window = 12
 	}
-	if b.Budget <= 0 {
-		b.Budget = 384
-	}
 	if b.Engine == "" {
 		b.Engine = "vm"
-	}
-	if b.SpotEvery == 0 {
-		b.SpotEvery = 16
-	}
-	if b.MaxCE <= 0 {
-		b.MaxCE = 5
-	}
-	if b.Lanes <= 0 {
-		b.Lanes = 64
 	}
 	return b
 }
@@ -154,38 +149,34 @@ func Verify(t Target, bounds Bounds) (*Report, error) {
 	}
 
 	var chunk []PointDesc
+	results := make([]pointResult, chunkSize)
 	var infraErr error
 	flush := func() {
 		if len(chunk) == 0 || infraErr != nil {
 			return
 		}
-		machines := make([]*sim.Machine, len(chunk))
-		lanes := make([]vm.Stepper, len(chunk))
+		runChunk(t, b, chunk, results)
 		for i, pd := range chunk {
-			m, err := t.Build(pd.Prog, pd.Intr, b.Engine)
-			if err != nil {
+			if err := results[i].buildErr; err != nil {
 				infraErr = fmt.Errorf("bveq: build point %d: %w", pd.Index, err)
 				return
 			}
-			machines[i] = m
-			lanes[i] = m
 		}
-		batch := vm.NewBatch(lanes)
-		batch.Run(b.Budget)
 		// Collect in point order: the report is independent of worker
 		// interleaving.
 		for i, pd := range chunk {
-			if len(rep.Counterexamples) >= b.MaxCE {
+			if len(rep.Counterexamples) >= maxCE {
 				break
 			}
-			if mm := t.Check(pd.Prog, pd.Intr, machines[i], batch.Err(i)); mm != nil {
-				rep.Counterexamples = append(rep.Counterexamples, newCounterexample(t, pd, mm))
+			r := &results[i]
+			if r.mm != nil {
+				rep.Counterexamples = append(rep.Counterexamples, newCounterexample(t, pd, r.mm))
 				continue
 			}
-			if b.SpotEvery > 0 && pd.Index%b.SpotEvery == 0 {
+			if pd.Index%spotEvery == 0 {
 				rep.SpotChecks++
-				if mm := spotCheck(t, pd, b, machines[i]); mm != nil {
-					rep.Counterexamples = append(rep.Counterexamples, newCounterexample(t, pd, mm))
+				if r.spot != nil {
+					rep.Counterexamples = append(rep.Counterexamples, newCounterexample(t, pd, r.spot))
 				}
 			}
 		}
@@ -194,10 +185,10 @@ func Verify(t Target, bounds Bounds) (*Report, error) {
 
 	rep.Programs, rep.Points = Enumerate(t, b, func(pd PointDesc) bool {
 		chunk = append(chunk, pd)
-		if len(chunk) == b.Lanes {
+		if len(chunk) == chunkSize {
 			flush()
 		}
-		return infraErr == nil && len(rep.Counterexamples) < b.MaxCE
+		return infraErr == nil && len(rep.Counterexamples) < maxCE
 	})
 	flush()
 	if infraErr != nil {
@@ -207,11 +198,58 @@ func Verify(t Target, bounds Bounds) (*Report, error) {
 	return rep, nil
 }
 
+// pointResult is one point's outcome: a build failure, the primary
+// check's mismatch, or the spot check's (run only when the point is
+// due and the primary check agreed).
+type pointResult struct {
+	buildErr error
+	mm, spot *Mismatch
+}
+
+// runChunk runs every point of the chunk end to end on up to GOMAXPROCS
+// workers, which claim points in order and write point i's outcome to
+// res[i].
+func runChunk(t Target, b Bounds, chunk []PointDesc, res []pointResult) {
+	workers := min(runtime.GOMAXPROCS(0), len(chunk))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(chunk) {
+					return
+				}
+				res[i] = runOne(t, b, chunk[i])
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// runOne builds, runs and checks one point, then spot-checks it when
+// it is due and agreed with the specification.
+func runOne(t Target, b Bounds, pd PointDesc) pointResult {
+	m, runErr := runPoint(t, pd.Prog, pd.Intr, b.Engine)
+	if m == nil {
+		return pointResult{buildErr: runErr}
+	}
+	if mm := t.Check(pd.Prog, pd.Intr, m, runErr); mm != nil {
+		return pointResult{mm: mm}
+	}
+	if pd.Index%spotEvery == 0 {
+		return pointResult{spot: spotCheck(t, pd, b, m)}
+	}
+	return pointResult{}
+}
+
 // spotCheck reruns one point on the spot engine and requires both the
 // sequential specification and the primary engine's observable run to
 // agree with it.
 func spotCheck(t Target, pd PointDesc, b Bounds, primary *sim.Machine) *Mismatch {
-	m, runErr := runPoint(t, pd.Prog, pd.Intr, spotEngine(b.Engine), b.Budget)
+	m, runErr := runPoint(t, pd.Prog, pd.Intr, spotEngine(b.Engine))
 	if m == nil {
 		return &Mismatch{Stage: "engine", Detail: "spot engine machine build failed: " + runErr.Error(), Index: -1, Cycle: -1}
 	}
@@ -267,22 +305,22 @@ func diffRuns(a, b *sim.Machine) (msg string, index, cycle int) {
 }
 
 // runPoint builds one point's machine and advances it through the full
-// budget (Advance, not Run: the batch path drives devices past drain,
-// and solo reruns must observe the identical device semantics).
-func runPoint(t Target, prog []uint32, intr int, engine string, budget int) (*sim.Machine, error) {
+// budget (Advance, not Run: devices keep acting after the pipeline
+// drains, so an interrupt that arrives late is still taken).
+func runPoint(t Target, prog []uint32, intr int, engine string) (*sim.Machine, error) {
 	m, err := t.Build(prog, intr, engine)
 	if err != nil {
 		return nil, err
 	}
-	return m, m.Advance(budget)
+	return m, m.Advance(pointBudget)
 }
 
 // CheckPoint runs a single enumeration point solo and returns its
 // mismatch (nil when the point agrees). It is the shrinker's property
 // and the CLI's recheck primitive; it observes exactly the semantics of
-// a batch lane.
-func CheckPoint(t Target, prog []uint32, intr int, engine string, budget int) *Mismatch {
-	m, runErr := runPoint(t, prog, intr, engine, budget)
+// a point in a sweep.
+func CheckPoint(t Target, prog []uint32, intr int, engine string) *Mismatch {
+	m, runErr := runPoint(t, prog, intr, engine)
 	if m == nil {
 		return &Mismatch{Stage: "run", Detail: "build: " + runErr.Error(), Index: -1, Cycle: -1}
 	}

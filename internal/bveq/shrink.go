@@ -22,7 +22,7 @@ func ShrinkPoint(t Target, bounds Bounds, ce *Counterexample) *Counterexample {
 			return false
 		}
 		runs++
-		return CheckPoint(t, prog, intr, b.Engine, b.Budget) != nil
+		return CheckPoint(t, prog, intr, b.Engine) != nil
 	}
 
 	prog := append([]uint32(nil), ce.Prog...)
@@ -66,7 +66,7 @@ func ShrinkPoint(t Target, bounds Bounds, ce *Counterexample) *Counterexample {
 		}
 	}
 
-	mm := CheckPoint(t, prog, intr, b.Engine, b.Budget)
+	mm := CheckPoint(t, prog, intr, b.Engine)
 	if mm == nil {
 		// The budget ran dry mid-step and the final candidate passed;
 		// fall back to the original, which is known to diverge.

@@ -57,7 +57,7 @@ func TestBveqFixtureCaughtStatically(t *testing.T) {
 	if len(sc.Prog) > 2 {
 		t.Errorf("shrunk counterexample has %d words, want <= 2: %v", len(sc.Prog), sc.Asm)
 	}
-	if bveq.CheckPoint(tgt, sc.Prog, sc.IntrCycle, "vm", 384) == nil {
+	if bveq.CheckPoint(tgt, sc.Prog, sc.IntrCycle, "vm") == nil {
 		t.Error("shrunk counterexample no longer diverges (monotonicity violated)")
 	}
 

@@ -11,7 +11,7 @@ import (
 
 // BenchmarkNewMachine is the machine-build layer: sim.New for a design
 // already compiled (and, after the first build, already resolved), on
-// both engines — the per-point cost of a bveq sweep or a batch lane.
+// both engines — the per-point cost of a bveq sweep.
 func BenchmarkNewMachine(b *testing.B) {
 	for _, v := range []designs.Variant{designs.All, designs.Base} {
 		d, err := xpdl.Compile(designs.Source(v))

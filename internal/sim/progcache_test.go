@@ -1,6 +1,6 @@
 // Lifetime of the shared per-design record: every machine built from
 // one design reads the same name-resolution table and, on the vm, runs
-// the same *vm.Program (batch lanes and bveq sweeps depend on it), and
+// the same *vm.Program (bveq sweeps depend on it), and
 // the cache holding those records must not outlive the designs — a
 // daemon compiles fresh designs for every cosim and bveq job, so a
 // leaked record per compile grows its heap without bound.

@@ -19,7 +19,7 @@ import (
 // the first vm machine — the bytecode Program. Every index space these
 // bake in (slots, volatiles, memories, externs, functions, pipes, stage
 // gids) is derived deterministically from declaration or sorted-name
-// order, so one record serves any number of machines (Batch lanes, sweep
+// order, so one record serves any number of machines (bveq sweep
 // points: N machines, one resolution and one decode).
 type design struct {
 	trs    []*core.Result // the translation the AST keys belong to, per pipe

@@ -114,8 +114,9 @@ type Config struct {
 	RenamingExtra int
 	// EntryCap bounds each pipeline's entry queue (default 8).
 	EntryCap int
-	// TraceRetirements keeps the full retirement trace (default true
-	// behaviour is controlled by the caller reading Retired).
+	// MaxTrace caps the retirement trace Retired returns: only the
+	// first MaxTrace retirements are kept (0 selects the default,
+	// 1<<20).
 	MaxTrace int
 	// Engine selects the executor: "vm" (the bytecode VM over
 	// struct-of-arrays state, the default; one compiled Program is shared
@@ -861,33 +862,15 @@ func (m *Machine) pullEntry(ps *pipeState, node *stageNode) {
 // remains. It reports how many cycles elapsed. Exhausting the budget
 // with instructions still in flight returns a *CycleBudgetError.
 func (m *Machine) Run(maxCycles int) (int, error) {
-	start := m.cycle
-	for m.cycle-start < maxCycles {
-		if len(m.alive) == 0 {
-			return m.cycle - start, nil
-		}
-		m.quiesceSkip(maxCycles - (m.cycle - start))
-		if m.cycle-start >= maxCycles {
-			break
-		}
-		if err := m.Step(); err != nil {
-			return m.cycle - start, err
-		}
-	}
-	if len(m.alive) > 0 {
-		return maxCycles, &CycleBudgetError{
-			Budget: maxCycles, Cycle: m.cycle,
-			InFlight: len(m.alive), Diag: m.diagnose(),
-		}
-	}
-	return m.cycle - start, nil
+	return m.RunCtx(context.Background(), maxCycles)
 }
 
 // RunCtx is Run with cancellation: the context is checked at every
-// cycle boundary, and cancellation or deadline expiry returns a
-// *CanceledError carrying a snapshot of the machine at that boundary,
-// so an interrupted run is always resumable (Machine.Restore). The
-// machine itself is left healthy — stepping can continue in-process.
+// cycle boundary (a context that can never be canceled costs nothing),
+// and cancellation or deadline expiry returns a *CanceledError carrying
+// a snapshot of the machine at that boundary, so an interrupted run is
+// always resumable (Machine.Restore). The machine itself is left
+// healthy — stepping can continue in-process.
 func (m *Machine) RunCtx(ctx context.Context, maxCycles int) (int, error) {
 	start := m.cycle
 	done := ctx.Done()
@@ -895,12 +878,14 @@ func (m *Machine) RunCtx(ctx context.Context, maxCycles int) (int, error) {
 		if len(m.alive) == 0 {
 			return m.cycle - start, nil
 		}
-		select {
-		case <-done:
-			ce := &CanceledError{Cycle: m.cycle, Cause: ctx.Err()}
-			ce.Snapshot, _ = m.SaveBytes()
-			return m.cycle - start, ce
-		default:
+		if done != nil {
+			select {
+			case <-done:
+				ce := &CanceledError{Cycle: m.cycle, Cause: ctx.Err()}
+				ce.Snapshot, _ = m.SaveBytes()
+				return m.cycle - start, ce
+			default:
+			}
 		}
 		m.quiesceSkip(maxCycles - (m.cycle - start))
 		if m.cycle-start >= maxCycles {
@@ -982,7 +967,7 @@ func (m *Machine) quiesceSkip(budgetLeft int) int {
 
 // Advance runs exactly n cycles, devices included, regardless of
 // whether work is in flight — the driver for free-running,
-// device-paced simulation and for lockstep batch execution. Unlike
+// device-paced simulation and for bveq's fixed per-point budget. Unlike
 // Run it does not stop when the machine drains (a predictable device
 // may repopulate it later) and never reports a budget error: the
 // horizon is the point, not a limit. Quiescent stretches — including
@@ -999,20 +984,6 @@ func (m *Machine) Advance(n int) error {
 		}
 	}
 	return nil
-}
-
-// RunUntil advances until pred returns true, up to maxCycles.
-func (m *Machine) RunUntil(maxCycles int, pred func(*Machine) bool) (int, error) {
-	start := m.cycle
-	for m.cycle-start < maxCycles {
-		if pred(m) || len(m.alive) == 0 {
-			break
-		}
-		if err := m.Step(); err != nil {
-			return m.cycle - start, err
-		}
-	}
-	return m.cycle - start, nil
 }
 
 // stateDump renders the bounded machine diagnosis (see errors.go); the

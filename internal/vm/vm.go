@@ -5,8 +5,8 @@
 // latch slots, volatile registers, spawn/extern arenas — contiguous
 // slices indexed by ids precomputed at compile time). One Program is a
 // pure function of a design's checked AST, so any number of machines —
-// chaos-seed lanes, sweep points, cosim replicas — share a single decoded
-// image and differ only in state (see Batch).
+// bveq sweep points, chaos runs, cosim replicas — share a single decoded
+// image and differ only in state.
 //
 // The executor must stay observably equivalent to the AST interpreter in
 // internal/sim, which remains the differential oracle. Equivalence relies
